@@ -9,7 +9,9 @@ target distribution or a single target state.
 
 from __future__ import annotations
 
+import itertools
 import math
+from functools import partial
 from typing import Mapping
 
 from .errors import ImpossibleEvidenceError
@@ -19,14 +21,21 @@ from .network import Network, check_assignment, mutilate  # noqa: F401  (mutilat
 Assignment = Mapping[str, str]
 
 
+def _forced(eng, net, source, o, d, measure):
+    """p(source | o, do(d)), then ``measure(do(d, source=s))`` keyed by the index
+    of every state s of positive posterior, and their posterior-weighted mixture."""
+    p_source = eng.query(net, (source,), o, d).distribution.values
+    states = enumerate(net.domain(source))
+    forced = {i: measure({**d, source: s}) for i, s in states if p_source[i] > 0.0}
+    return p_source, forced, sum(p_source[i] * forced[i] for i in forced)
+
+
 def _check_roles(net: Network, **roles: Assignment | None) -> dict[str, dict[str, str]]:
     out = {name: check_assignment(net, a or {}) for name, a in roles.items()}
-    names = list(out)
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            shared = set(out[a]) & set(out[b])
-            if shared:
-                raise ValueError(f"variables bound in both {a} and {b}: {', '.join(sorted(shared))}")
+    for a, b in itertools.combinations(out, 2):
+        shared = set(out[a]) & set(out[b])
+        if shared:
+            raise ValueError(f"variables bound in both {a} and {b}: {', '.join(sorted(shared))}")
     return out
 
 
@@ -72,13 +81,9 @@ def information_flow(
             raise ValueError(f"variable {v!r} may not be intervened or observed here")
     eng = _engine(engine)
 
-    p_source = eng.query(net, (source,), o, d).distribution.values
-    states = net.domain(source)
-    p_target = {}
-    for i, s in enumerate(states):
-        if p_source[i] > 0.0:
-            p_target[i] = eng.query(net, (target,), o, {**d, source: s}).distribution.values
-    mixture = sum(p_source[i] * p_target[i] for i in p_target)
+    p_source, p_target, mixture = _forced(
+        eng, net, source, o, d, lambda forced: eng.query(net, (target,), o, forced).distribution.values
+    )
 
     total = 0.0
     for i, dist in p_target.items():
@@ -117,13 +122,7 @@ def flow_to_state(
     p_e = eng.probability(net, e, o, d)
     if p_e <= 0.0:
         raise ImpossibleEvidenceError("explanandum has probability zero in this context")
-    p_source = eng.query(net, (source,), o, d).distribution.values
-    states = net.domain(source)
-    p_e_forced = {}
-    for i, s in enumerate(states):
-        if p_source[i] > 0.0:
-            p_e_forced[i] = eng.probability(net, e, o, {**d, source: s})
-    mixture = sum(p_source[i] * p_e_forced[i] for i in p_e_forced)
+    p_source, p_e_forced, mixture = _forced(eng, net, source, o, d, partial(eng.probability, net, e, o))
 
     total = 0.0
     for i, v in p_e_forced.items():
@@ -160,19 +159,12 @@ def pointwise_flow(
         raise ValueError(f"source {source!r} is already bound in the query")
     eng = _engine(engine)
 
-    p_source = eng.query(net, (source,), o, d).distribution.values
-    states = net.domain(source)
-    p_e_forced = {}
-    for i, s in enumerate(states):
-        if p_source[i] > 0.0:
-            p_e_forced[i] = eng.probability(net, e, o, {**d, source: s})
-    mixture = sum(p_source[i] * p_e_forced[i] for i in p_e_forced)
+    _, p_e_forced, mixture = _forced(eng, net, source, o, d, partial(eng.probability, net, e, o))
     if mixture <= 0.0:
         raise ImpossibleEvidenceError("explanandum has probability zero in this context")
 
-    hit = net.state_index(source, state)
-    numer = p_e_forced.get(hit)
-    if numer is None:
+    numer = p_e_forced.get(net.state_index(source, state))
+    if numer is None:  # the known state has posterior zero
         numer = eng.probability(net, e, o, {**d, source: state})
     if numer <= 0.0:
         return float("-inf")

@@ -22,6 +22,8 @@ from .network import Network, check_assignment, merge_assignments, reachable
 
 Assignment = Mapping[str, str]
 
+_ROUNDING_SLACK = 1e-12  # differences this small (relative beyond 1) are rounding noise
+
 
 @dataclass(frozen=True)
 class ExplainerConfig:
@@ -155,11 +157,15 @@ def _ordered_vars(net: Network, names: Iterable[str]) -> tuple[str, ...]:
 
 
 def _argmax(candidates: Iterable[str], scores: Mapping[str, float]) -> str:
-    best = None
-    for v in candidates:  # declaration order; strict > keeps the earliest maximizer
-        if best is None or scores[v] > scores[best]:
-            best = v
-    return best
+    """Earliest candidate (declaration order) whose score ties the maximum.
+
+    Scores within 1e-12 * max(1, |max|) of the maximum count as tied, so that
+    rounding noise from the elimination order cannot decide between them.
+    """
+    candidates = list(candidates)
+    best = max(scores[v] for v in candidates)
+    slack = _ROUNDING_SLACK * max(1.0, abs(best))
+    return next(v for v in candidates if scores[v] >= best - slack)
 
 
 # -- causal explanation trees -----------------------------------------------------
@@ -362,7 +368,8 @@ def bayes_factor_search(
     Every assignment h over subsets of sizes 1..max_subset_size is scored
     with the Bayes factor (posterior odds over prior odds by default, plain
     posterior odds with ``raw_odds``). Hypotheses with prior 0 or 1 have no
-    defined odds ratio; they are skipped and counted. With
+    defined odds ratio; they are skipped and counted. A posterior within 1e-12
+    of one scores infinity, as its odds are rounding noise. With
     ``best_per_subset`` (default), the ranking keeps one entry per variable
     subset, namely its best assignment, before the top_k cut.
 
@@ -396,7 +403,7 @@ def bayes_factor_search(
                     skipped += 1
                     continue
                 posterior = eng.probability(net, h, e)
-                if posterior >= 1.0:
+                if posterior >= 1.0 - _ROUNDING_SLACK:  # certain up to rounding noise
                     score = float("inf")
                 elif cfg.raw_odds:
                     score = posterior / (1.0 - posterior)

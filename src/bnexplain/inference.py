@@ -2,9 +2,10 @@
 
 The central object is :class:`ExactEngine`, whose :meth:`ExactEngine.query`
 answers one conditional (optionally post-intervention) distribution query per
-call and counts how many times it ran. The module-level functions wrap a
-throwaway engine for one-off use; explainers accept an engine so call counts
-and cross-checking behave consistently across a whole tree construction.
+call from CPT factors compiled once per network, eliminating only the
+variables the answer depends on. The module-level functions wrap a throwaway
+engine for one-off use; explainers accept an engine so call counts and
+cross-checking behave consistently across a whole tree construction.
 """
 
 from __future__ import annotations
@@ -16,9 +17,30 @@ import numpy as np
 
 from . import factors as fa
 from .errors import ImpossibleEvidenceError
-from .network import Network, check_assignment, merge_assignments, mutilate
+from .network import Network, check_assignment, merge_assignments
 
 Assignment = Mapping[str, str]
+
+
+def _cpt_factors(net: Network) -> dict[str, fa.Factor]:
+    """CPT factors of the immutable ``net``, built on first use and cached read-only on it.
+
+    Concurrent first uses build identical factors and publish them in one store.
+    """
+    cached = getattr(net, "_cpt_factors", None)
+    if cached is None:
+        cached = {v.name: fa.from_cpt(net, v.name) for v in net.variables}
+        for f in cached.values():
+            f.values.flags.writeable = False
+        net._cpt_factors = cached
+    return cached
+
+
+def _reduce(f: fa.Factor, evidence: Assignment, net: Network) -> fa.Factor:
+    for var in evidence:
+        if var in f.scope:
+            f = fa.reduce_var(f, var, net.state_index(var, evidence[var]))
+    return f
 
 
 @dataclass(frozen=True)
@@ -34,12 +56,14 @@ class QueryResult:
 
 
 class ExactEngine:
-    """Sum-product variable elimination over the network's CPT factors.
+    """Sum-product variable elimination over the network's compiled CPT factors.
 
-    Elimination order is chosen by the min-degree heuristic with declaration
-    order breaking ties. The ``calls`` counter increments once per query and
-    exists purely as a diagnostic (complexity tests read it); results are pure
-    functions of the arguments.
+    An intervention is factor surgery: the variable's factor becomes one-hot on
+    the forced state, without parent axes. Only targets, observed variables and
+    their ancestors after surgery take part; all others are barren and sum to
+    one. Elimination order is min-degree on that pruned set, declaration order
+    breaking ties. The ``calls`` counter increments once per query and exists
+    purely as a diagnostic; results are pure functions of the arguments.
     """
 
     def __init__(self) -> None:
@@ -55,47 +79,51 @@ class ExactEngine:
         """Distribution over ``targets`` given observations, after interventions.
 
         Interventions are applied first (graph surgery), then the observations
-        condition the post-intervention distribution.
+        condition the post-intervention distribution, so observing an intervened
+        variable in another state has probability zero.
 
         Raises:
             ImpossibleEvidenceError: ``targets`` nonempty and p(observed) = 0.
         """
         self.calls += 1
         observed = check_assignment(net, observed or {})
+        do = check_assignment(net, do or {})
         for t in targets:
             net.index(t)
             if t in observed:
                 raise ValueError(f"query target {t!r} is already observed")
-        if do:
-            net_q = mutilate(net, do)
-            observed = check_assignment(net_q, observed)  # reject do/observed overlap upstream
-        else:
-            net_q = net
+        factors = dict(_cpt_factors(net))
+        for v, s in do.items():  # surgery: one-hot on the forced state, no parent axes
+            factors[v] = fa.Factor((v,), np.eye(len(net.domain(v)))[net.state_index(v, s)])
 
-        work = []
-        for v in net_q.variables:
-            f = fa.from_cpt(net_q, v.name)
-            for var in observed:
-                if var in f.scope:
-                    f = fa.reduce_var(f, var, net_q.state_index(var, observed[var]))
-            work.append(f)
+        relevant, stack = set(), [*targets, *observed]
+        while stack:  # ancestors after surgery; all other variables are barren
+            v = stack.pop()
+            if v not in relevant:
+                relevant.add(v)
+                stack.extend(factors[v].scope)
 
-        keep = set(targets)
-        to_eliminate = {v.name for v in net_q.variables if v.name not in keep and v.name not in observed}
+        work = [_reduce(factors[v], observed, net) for v in sorted(relevant, key=net.index)]
+
+        # interaction graph for the min-degree order, declaration order breaking ties
+        nbrs = {v: set().union(*(f.scope for f in work if v in f.scope)) for v in relevant}
+        to_eliminate = relevant.difference(targets, observed)
         while to_eliminate:
-            var = min(to_eliminate, key=lambda u: (self._degree(work, u), net_q.index(u)))
+            var = min(to_eliminate, key=lambda u: (len(nbrs[u]), net.index(u)))
+            joined = nbrs.pop(var)
+            for u in joined - {var}:
+                nbrs[u] = (nbrs[u] | joined) - {var}
             touching = [f for f in work if var in f.scope]
             work = [f for f in work if var not in f.scope]
-            if touching:
-                prod = touching[0]
-                for f in touching[1:]:
-                    prod = fa.multiply(prod, f, net_q)
-                work.append(fa.marginalize(prod, var))
+            prod = touching[0]
+            for f in touching[1:]:
+                prod = fa.multiply(prod, f, net)
+            work.append(fa.marginalize(prod, var))
             to_eliminate.discard(var)
 
         result = fa.unit_factor()
         for f in work:
-            result = fa.multiply(result, f, net_q)
+            result = fa.multiply(result, f, net)
         z = float(result.values.sum())
         if targets:
             if z <= 0.0:
@@ -104,15 +132,6 @@ class ExactEngine:
         else:
             dist = fa.unit_factor()
         return QueryResult(distribution=dist, evidence_probability=z)
-
-    @staticmethod
-    def _degree(work: list[fa.Factor], var: str) -> int:
-        nbrs: set[str] = set()
-        for f in work:
-            if var in f.scope:
-                nbrs.update(f.scope)
-        nbrs.discard(var)
-        return len(nbrs)
 
     def probability(
         self,
@@ -129,10 +148,9 @@ class ExactEngine:
         """
         event = check_assignment(net, event)
         observed = check_assignment(net, observed or {})
-        if do:
-            for var in do:
-                if var in event or var in observed:
-                    raise ValueError(f"variable {var!r} is both intervened and conditioned on")
+        for var in do or {}:
+            if var in event or var in observed:
+                raise ValueError(f"variable {var!r} is both intervened and conditioned on")
         joint = merge_assignments(event, observed)
         if observed:
             denom = self.query(net, (), observed, do).evidence_probability
@@ -158,8 +176,7 @@ def joint_probability(net: Network, full: Assignment) -> float:
     if missing:
         raise ValueError(f"assignment leaves variables unbound: {', '.join(missing)}")
     p = 1.0
-    for v in net.variables:
-        f = fa.from_cpt(net, v.name)
+    for f in _cpt_factors(net).values():
         coords = tuple(net.state_index(u, full[u]) for u in f.scope)
         p *= float(f.values[coords])
     return p
@@ -197,7 +214,7 @@ def conditional_mutual_information(
     """Conditional mutual information I(x ; y | context) in bits.
 
     Computed from the exact posterior joint of (x, y); zero-probability cells
-    contribute zero. Nonnegative up to rounding and symmetric in x and y.
+    contribute zero. Symmetric in x and y; rounding noise below 0 is clamped.
     """
     if x == y:
         raise ValueError("mutual information needs two distinct variables")
@@ -213,7 +230,7 @@ def conditional_mutual_information(
     py = values.sum(axis=0)
     mask = values > 0.0
     denom = np.outer(px, py)
-    return float(np.sum(values[mask] * np.log2(values[mask] / denom[mask])))
+    return max(0.0, float(np.sum(values[mask] * np.log2(values[mask] / denom[mask]))))
 
 
 def mpe(
@@ -230,21 +247,14 @@ def mpe(
     all maximizers. Returns the completion and its posterior probability.
     """
     evidence = check_assignment(net, evidence)
-    eng = _engine(engine)
-    p_evidence = eng.query(net, (), evidence).evidence_probability
+    p_evidence = _engine(engine).query(net, (), evidence).evidence_probability
     if p_evidence <= 0.0:
         raise ImpossibleEvidenceError("evidence has probability zero")
     free = [v.name for v in net.variables if v.name not in evidence]
     if not free:
         return {}, 1.0
 
-    work = []
-    for v in net.variables:
-        f = fa.from_cpt(net, v.name)
-        for var in evidence:
-            if var in f.scope:
-                f = fa.reduce_var(f, var, net.state_index(var, evidence[var]))
-        work.append(f)
+    work = [_reduce(f, evidence, net) for f in _cpt_factors(net).values()]
 
     traceback: dict[str, tuple[tuple[str, ...], np.ndarray]] = {}
     for var in reversed(free):

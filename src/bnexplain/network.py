@@ -97,13 +97,11 @@ class Network:
             raise NetworkValidationError(f"CPT given for unknown variable {extra!r}")
 
         self._parents = {v: self.cpts[v].parents for v in self._index}
-        self._children: dict[str, tuple[str, ...]] = {v: () for v in self._index}
         kids: dict[str, list[str]] = {v: [] for v in self._index}
-        for child, parents in self._parents.items():
+        for child, parents in self._parents.items():  # declaration order keeps kids sorted
             for p in parents:
                 kids[p].append(child)
-        for v in self._index:
-            self._children[v] = tuple(sorted(kids[v], key=self._index.__getitem__))
+        self._children = {v: tuple(c) for v, c in kids.items()}
 
         self._topological = self._toposort()
 

@@ -11,6 +11,7 @@ from bnexplain import (
     bayes_factor_search,
     best_explanation,
     causal_explanation_tree,
+    conditional_mutual_information,
     count_nodes,
     event_probability,
     explanation_tree,
@@ -264,6 +265,33 @@ def test_et_tie_break_by_declaration_order():
     assert tree.variable == "P"
 
 
+def test_et_rounding_noise_neither_stops_nor_decides():
+    # A, B and C are exactly independent given E (E depends on A alone), so
+    # every pairwise CMI is zero up to rounding noise of either sign (about
+    # -2e-16 for I(A;B|E) here); the noise may neither stop an alpha=0 tree
+    # nor pick the variable
+    variables = [Variable(n, (n.lower() + "0", n.lower() + "1")) for n in ("A", "B", "C", "E")]
+    cpts = {n: Cpt(n, (), ((0.1, 0.9),)) for n in ("A", "B", "C")}
+    cpts["E"] = Cpt("E", ("A",), ((0.2, 0.8), (0.1, 0.9)))
+    net = Network(variables, cpts)
+    e = {"E": "e0"}
+    for x, y in (("A", "B"), ("A", "C"), ("B", "C")):
+        assert conditional_mutual_information(net, x, y, e) >= 0.0
+    tree = explanation_tree(net, ["A", "B", "C"], e, ExplainerConfig(alpha=0.0))
+    assert tree.variable == "A"
+    assert all(b.subtree.variable == "B" for b in tree.branches)
+
+
+def test_argmax_treats_rounding_noise_as_a_tie():
+    from bnexplain.explain import _argmax
+
+    assert _argmax(["P", "Q", "R"], {"P": 0.5, "Q": 0.5 + 1e-16, "R": 0.4}) == "P"
+    assert _argmax(["P", "Q"], {"P": 0.5, "Q": 0.5 + 1e-9}) == "Q"
+    assert _argmax(["P", "Q"], {"P": 1e6, "Q": 1e6 + 1e-7}) == "P"  # relative slack
+    assert _argmax(["P", "Q"], {"P": float("-inf"), "Q": float("-inf")}) == "P"
+    assert _argmax(["P", "Q"], {"P": float("-inf"), "Q": -3.0}) == "Q"
+
+
 def test_et_deterministic(drug):
     a = explanation_tree(drug, ["Sex", "Drug"], REC, ExplainerConfig(alpha=0.0))
     b = explanation_tree(drug, ["Sex", "Drug"], REC, ExplainerConfig(alpha=0.0))
@@ -358,6 +386,16 @@ def test_bf_degenerate_hypotheses_skipped():
                                   ExplainerConfig(max_subset_size=1, top_k=3))
     assert ranking.skipped_degenerate == 2  # p(A=t)=1 and p(A=f)=0
     assert ranking.entries == ()
+
+
+def test_bf_certain_posterior_scores_infinity_despite_rounding(asia):
+    # LungCancer=yes implies TbOrCa=yes (deterministic OR), but the engine's
+    # ratio of evidence masses comes out a few ulps below one
+    ranking = bayes_factor_search(asia, ["Tuberculosis", "TbOrCa"], {"LungCancer": "yes"},
+                                  ExplainerConfig(max_subset_size=1, top_k=4))
+    scores = {entry.assignment: entry.score for entry in ranking.entries}
+    assert scores[(("TbOrCa", "yes"),)] == float("inf")
+    assert ranking.entries[0].assignment == (("TbOrCa", "yes"),)
 
 
 def test_bf_max_subset_size_validated(drug):

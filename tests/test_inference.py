@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from bnexplain import (
+    CheckedEngine,
     ExactEngine,
     ImpossibleEvidenceError,
+    OracleEngine,
     conditional_mutual_information,
     event_probability,
     interventional_probability,
@@ -198,3 +200,154 @@ def test_no_intervention_consistency(drug):
     a = interventional_probability(drug, {"Recovery": "rec"})
     b = event_probability(drug, {"Recovery": "rec"})
     assert a == b
+
+
+# -- compiled factors, factor-level surgery and relevance pruning --------------------
+
+
+def _state(rng, net, v):
+    return net.domain(v)[int(rng.integers(len(net.domain(v))))]
+
+
+@pytest.fixture(scope="module")
+def multistate_corpus():
+    from conftest import make_random_network
+
+    rng = np.random.default_rng(4242)
+    return [make_random_network(rng, 6 + i % 4, name=f"ms{i}", max_states=3) for i in range(8)]
+
+
+# CheckedEngine runs ExactEngine and OracleEngine side by side and raises
+# OracleDivergenceError on any gap above 1e-9.
+
+
+def test_pruned_engine_matches_oracle_on_do_observe_mixes(multistate_corpus):
+    rng = np.random.default_rng(77)
+    for net in multistate_corpus:
+        eng = CheckedEngine()
+        names = [v.name for v in net.variables]
+        for _ in range(8):
+            picked = [str(v) for v in rng.choice(names, size=5, replace=False)]
+            n_t, n_o = int(rng.integers(0, 3)), int(rng.integers(0, 3))
+            targets = tuple(picked[:n_t])
+            observed = {v: _state(rng, net, v) for v in picked[n_t:n_t + n_o]}
+            do = {v: _state(rng, net, v) for v in picked[n_t + n_o:]}
+            eng.query(net, targets, observed, do)
+            eng.probability(net, {t: _state(rng, net, t) for t in targets}, observed, do)
+
+
+def test_pruned_engine_intervened_target_is_a_point_mass(multistate_corpus):
+    for net in multistate_corpus:
+        first, last = net.variables[0].name, net.variables[-1].name
+        for observed in ({}, {first: net.domain(first)[0]}):
+            got = CheckedEngine().query(net, (last,), observed, {last: net.domain(last)[-1]})
+            assert got.distribution.values.tolist() == [0.0] * (len(net.domain(last)) - 1) + [1.0]
+
+
+def test_pruned_engine_do_observed_overlap(multistate_corpus):
+    for net in multistate_corpus:
+        x, t = net.variables[1].name, net.variables[-1].name
+        s, other = net.domain(x)[0], net.domain(x)[1]
+        got = CheckedEngine().query(net, (t,), {x: s}, {x: s})
+        want = ExactEngine().query(net, (t,), {}, {x: s})
+        np.testing.assert_allclose(got.distribution.values, want.distribution.values, atol=1e-12)
+        assert CheckedEngine().query(net, (), {x: other}, {x: s}).evidence_probability == 0.0
+        for engine in (ExactEngine(), OracleEngine()):
+            with pytest.raises(ImpossibleEvidenceError):
+                engine.query(net, (t,), {x: other}, {x: s})
+
+
+def test_pruned_engine_ignores_intervention_below_the_query(multistate_corpus):
+    for net in multistate_corpus:
+        root, leaf = net.variables[0].name, net.variables[-1].name
+        assert not net.children(leaf)
+        do = {leaf: net.domain(leaf)[1]}
+        for targets, observed in (((root,), {}), ((), {root: net.domain(root)[0]})):
+            got = CheckedEngine().query(net, targets, observed, do)
+            plain = ExactEngine().query(net, targets, observed)
+            assert got.evidence_probability == plain.evidence_probability
+            assert np.array_equal(got.distribution.values, plain.distribution.values)
+
+
+def test_pruned_engine_empty_query_is_the_unit_factor(multistate_corpus):
+    for net in multistate_corpus:
+        v = net.variables[2].name
+        for do in ({}, {v: net.domain(v)[0]}):
+            got = CheckedEngine().query(net, (), {}, do)
+            assert got.evidence_probability == 1.0
+            assert got.distribution.scope == ()
+            assert float(got.distribution.values) == 1.0
+
+
+def test_query_cost_near_the_root_does_not_grow_with_chain_length(chain_factory, monkeypatch):
+    import bnexplain.factors as fa
+
+    counted = {"n": 0}
+    multiply = fa.multiply
+
+    def counting(f, g, net):
+        counted["n"] += 1
+        return multiply(f, g, net)
+
+    monkeypatch.setattr(fa, "multiply", counting)
+
+    def cost(length):
+        net = chain_factory(np.random.default_rng(5), length)
+        counted["n"] = 0
+        ExactEngine().query(net, ("V1",), {"V0": "t"})
+        ExactEngine().query(net, ("V2",), {}, {"V1": "f"})
+        ExactEngine().probability(net, {"V1": "t"}, {"V0": "f"})
+        return counted["n"]
+
+    assert cost(80) == cost(10) > 0
+
+
+def test_cached_factors_are_read_only(drug):
+    from bnexplain.inference import _cpt_factors
+
+    ExactEngine().query(drug, ("Recovery",))
+    for f in _cpt_factors(drug).values():
+        with pytest.raises(ValueError, match="read-only"):
+            f.values[(0,) * f.values.ndim] = 0.5
+    assert event_probability(drug, {"Recovery": "rec"}) == pytest.approx(0.45, abs=1e-12)
+
+
+def test_cold_cache_filled_by_four_threads_matches_serial_results():
+    import sys
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    from conftest import make_random_network
+
+    def fresh():
+        return make_random_network(np.random.default_rng(606), 12, name="threads", max_states=3)
+
+    rng = np.random.default_rng(9)
+    names = [f"V{i}" for i in range(12)]
+    queries = []
+    for _ in range(24):
+        picked = [str(v) for v in rng.choice(names, size=3, replace=False)]
+        queries.append(((picked[0],), {picked[1]: "s0"}, {picked[2]: "s1"}))
+
+    def run_all(net, start=None):
+        if start is not None:
+            start.wait(timeout=10)
+        eng = ExactEngine()
+        return [eng.query(net, *q) for q in queries]
+
+    serial = run_all(fresh())
+    net = fresh()  # cold cache, filled by whichever thread gets there first
+    start = threading.Barrier(4)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(run_all, net, start) for _ in range(4)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    for threaded in results:
+        for got, want in zip(threaded, serial):
+            assert got.evidence_probability == want.evidence_probability
+            assert got.distribution.scope == want.distribution.scope
+            assert np.array_equal(got.distribution.values, want.distribution.values)
