@@ -49,7 +49,7 @@ for label, engine_value, oracle_value in pairs:
 print()
 
 print("=== Cross-checking engine ===")
-checked = CheckedEngine(primary=ExactEngine(), tolerance=1e-9)
+checked = CheckedEngine(primary=ExactEngine())
 tree = causal_explanation_tree(net, ["Sex", "Drug"], {}, rec,
                                ExplainerConfig(alpha=0.0), engine=checked)
 print("every probability behind this tree was recomputed by enumeration:")

@@ -12,7 +12,6 @@ from .causal import (
     flow_to_state,
     information_flow,
     interventional_probability,
-    mutilate,
     pointwise_flow,
 )
 from .errors import (
@@ -53,6 +52,7 @@ from .network import (
     Variable,
     check_assignment,
     merge_assignments,
+    mutilate,
     reachable,
     topological_order,
 )

@@ -1,10 +1,10 @@
 """Interventional queries and causal information-flow measures.
 
-Interventions use graph surgery (see :func:`bnexplain.network.mutilate`):
-incoming edges of forced variables are cut and their CPTs become point
-masses, then observations condition the surgically altered network. The flow
-measures below quantify, in bits, how much forcing a variable changes a
-target distribution or a single target state.
+Interventions are surgery on the engine's factors: a forced variable's CPT
+factor becomes a point mass on the forced state without parent axes, then
+observations condition the altered distribution. The flow measures below
+quantify, in bits, how much forcing a variable changes a target distribution
+or a single target state.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Mapping
 
 from .errors import ImpossibleEvidenceError
 from .inference import ExactEngine, _engine
-from .network import Network, check_assignment, mutilate  # noqa: F401  (mutilate re-exported)
+from .network import Network, check_assignment
 
 Assignment = Mapping[str, str]
 
@@ -37,6 +37,20 @@ def _check_roles(net: Network, **roles: Assignment | None) -> dict[str, dict[str
         if shared:
             raise ValueError(f"variables bound in both {a} and {b}: {', '.join(sorted(shared))}")
     return out
+
+
+def _flow_roles(net, source, explanandum, observed, do) -> tuple[dict[str, str], ...]:
+    """Validated (explanandum, observed, do) of a flow from ``source``.
+
+    The roles are disjoint, the explanandum is nonempty and the source is unbound.
+    """
+    e, o, d = _check_roles(net, explanandum=explanandum, observed=observed, do=do).values()
+    if not e:
+        raise ValueError("explanandum must bind at least one variable")
+    net.index(source)
+    if source in e or source in o or source in d:
+        raise ValueError(f"source {source!r} is already bound in the query")
+    return e, o, d
 
 
 def interventional_probability(
@@ -74,8 +88,7 @@ def information_flow(
     net.index(target)
     if source == target:
         raise ValueError("source and target must differ")
-    roles = _check_roles(net, do=do, observed=observed)
-    d, o = roles["do"], roles["observed"]
+    d, o = _check_roles(net, do=do, observed=observed).values()
     for v in (source, target):
         if v in d or v in o:
             raise ValueError(f"variable {v!r} may not be intervened or observed here")
@@ -110,13 +123,7 @@ def flow_to_state(
     states weighted by their probability recovers the full flow. May be
     negative when forcing the source tends to make the explanandum rarer.
     """
-    roles = _check_roles(net, explanandum=explanandum, observed=observed, do=do)
-    e, o, d = roles["explanandum"], roles["observed"], roles["do"]
-    if not e:
-        raise ValueError("explanandum must bind at least one variable")
-    net.index(source)
-    if source in e or source in o or source in d:
-        raise ValueError(f"source {source!r} is already bound in the query")
+    e, o, d = _flow_roles(net, source, explanandum, observed, do)
     eng = _engine(engine)
 
     p_e = eng.probability(net, e, o, d)
@@ -150,13 +157,8 @@ def pointwise_flow(
     Returns ``-inf`` when forcing the known value makes the explanandum
     impossible.
     """
-    roles = _check_roles(net, explanandum=explanandum, observed_rest=observed_rest, do=do)
-    e, o, d = roles["explanandum"], roles["observed_rest"], roles["do"]
-    if not e:
-        raise ValueError("explanandum must bind at least one variable")
+    e, o, d = _flow_roles(net, source, explanandum, observed_rest, do)
     net.state_index(source, state)
-    if source in e or source in o or source in d:
-        raise ValueError(f"source {source!r} is already bound in the query")
     eng = _engine(engine)
 
     _, p_e_forced, mixture = _forced(eng, net, source, o, d, partial(eng.probability, net, e, o))

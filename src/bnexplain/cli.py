@@ -28,7 +28,7 @@ from .explain import (
 )
 from .fileformat import load_network
 from .inference import event_probability
-from .network import Network, merge_assignments
+from .network import Network, check_assignment, merge_assignments
 from .oracle import CheckedEngine, oracle_mpe
 
 
@@ -124,50 +124,48 @@ def build_parser() -> _Parser:
 # -- argument digestion ------------------------------------------------------------
 
 
-def _parse_bindings(net: Network, tokens: list[str], flag: str) -> dict[str, str]:
-    bound: dict[str, str] = {}
-    for chunk in tokens:
-        for token in chunk.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            if "=" not in token:
-                raise UsageError(f"{flag}: expected Var=state, got {token!r}")
-            var, state = token.split("=", 1)
-            try:
-                net.state_index(var, state)
-            except NetworkValidationError as exc:
-                raise UsageError(f"{flag}: {exc}") from exc
-            if bound.get(var, state) != state:
-                raise UsageError(f"{flag}: conflicting bindings for {var!r}")
-            bound[var] = state
+def _items(tokens: list[str]) -> list[str]:
+    """Nonempty comma-separated items of a repeatable flag, in the order given."""
+    return [item.strip() for chunk in tokens for item in chunk.split(",") if item.strip()]
+
+
+def _parse_bindings(net: Network, tokens: list[str], flag: str,
+                    nonempty: bool = False) -> dict[str, str]:
+    """Bindings in the order given; unknown or conflicting ones are usage errors."""
+    pairs = []
+    for token in _items(tokens):
+        if "=" not in token:
+            raise UsageError(f"{flag}: expected Var=state, got {token!r}")
+        var, state = token.split("=", 1)
+        pairs.append({var: state})
+    try:
+        bound = merge_assignments(*pairs)
+        check_assignment(net, bound)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from exc
+    if nonempty and not bound:
+        raise UsageError(f"{flag} must bind at least one variable")
     return bound
 
 
 def _parse_names(net: Network, tokens: list[str], flag: str) -> set[str]:
-    names: set[str] = set()
-    for chunk in tokens:
-        for token in chunk.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            if token not in net:
-                raise UsageError(f"{flag}: unknown variable {token!r}")
-            names.add(token)
-    return names
+    names = _items(tokens)
+    for name in names:
+        if name not in net:
+            raise UsageError(f"{flag}: unknown variable {name!r}")
+    return set(names)
 
 
-def _hypothesis_set(net, args, *bound_sets) -> list[str]:
+def _hypothesis_set(net, args, *bound_sets) -> set[str]:
     chosen = _parse_names(net, args.hypothesis, "--hypothesis")
     if not chosen:
         taken = set().union(*bound_sets)
         chosen = {v.name for v in net.variables if v.name not in taken}
-    chosen -= _parse_names(net, args.exclude, "--exclude")
-    return [v.name for v in net.variables if v.name in chosen]
+    return chosen - _parse_names(net, args.exclude, "--exclude")
 
 
 def _engine_for(args):
-    return CheckedEngine(tolerance=1e-9) if args.oracle_check else None
+    return CheckedEngine() if args.oracle_check else None
 
 
 def _emit_tree(args, tree, meta: dict) -> None:
@@ -192,8 +190,6 @@ def _emit_ranking(args, ranking) -> None:
 def _run_cet(args) -> int:
     net = load_network(args.network)
     explanandum = _parse_bindings(net, args.explanandum, "--explanandum")
-    if not explanandum:
-        raise UsageError("--explanandum must bind at least one variable")
     observed = _parse_bindings(net, args.observe, "--observe")
     hypothesis = _hypothesis_set(net, args, explanandum, observed)
     config = ExplainerConfig(alpha=args.alpha, prune_unreachable=not args.no_prune)
@@ -211,9 +207,7 @@ def _run_cet(args) -> int:
 
 def _run_et(args) -> int:
     net = load_network(args.network)
-    explanandum = _parse_bindings(net, args.explanandum, "--explanandum")
-    if not explanandum:
-        raise UsageError("--explanandum must bind at least one variable")
+    explanandum = _parse_bindings(net, args.explanandum, "--explanandum", nonempty=True)
     observed = _parse_bindings(net, args.observe, "--observe")
     conditioning = merge_assignments(explanandum, observed)
     hypothesis = _hypothesis_set(net, args, conditioning)
@@ -232,9 +226,7 @@ def _run_et(args) -> int:
 
 def _run_mpe(args) -> int:
     net = load_network(args.network)
-    evidence = _parse_bindings(net, args.evidence, "--evidence")
-    if not evidence:
-        raise UsageError("--evidence must bind at least one variable")
+    evidence = _parse_bindings(net, args.evidence, "--evidence", nonempty=True)
     ranking = mpe_explanation(net, evidence)
     if args.oracle_check:
         want, want_p = oracle_mpe(net, evidence)
@@ -251,8 +243,6 @@ def _run_mpe(args) -> int:
 def _run_bf(args) -> int:
     net = load_network(args.network)
     explanandum = _parse_bindings(net, args.explanandum, "--explanandum")
-    if not explanandum:
-        raise UsageError("--explanandum must bind at least one variable")
     hypothesis = _hypothesis_set(net, args, explanandum)
     size = args.max_subset_size
     if size is None:
@@ -267,9 +257,7 @@ def _run_bf(args) -> int:
 
 def _run_query(args) -> int:
     net = load_network(args.network)
-    event = _parse_bindings(net, args.event, "--event")
-    if not event:
-        raise UsageError("--event must bind at least one variable")
+    event = _parse_bindings(net, args.event, "--event", nonempty=True)
     observed = _parse_bindings(net, args.observe, "--observe")
     do = _parse_bindings(net, args.do, "--do")
     if do:
@@ -303,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"bnexplain: error: {exc}", file=sys.stderr)
         return 1
-    except (NetworkFormatError, NetworkValidationError) as exc:
+    except (NetworkFormatError, NetworkValidationError, OSError) as exc:
         print(f"bnexplain: invalid network: {exc}", file=sys.stderr)
         return 2
     except ImpossibleEvidenceError as exc:
@@ -312,9 +300,6 @@ def main(argv: list[str] | None = None) -> int:
     except OracleDivergenceError as exc:
         print(f"bnexplain: oracle cross-check failed: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
-        print(f"bnexplain: invalid network: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"bnexplain: error: {exc}", file=sys.stderr)
         return 1

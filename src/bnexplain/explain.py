@@ -149,11 +149,24 @@ class RankedExplanations:
     skipped_degenerate: int = 0
 
 
-def _ordered_vars(net: Network, names: Iterable[str]) -> tuple[str, ...]:
-    names = set(names)
+def _explainer_roles(
+    net: Network, hypothesis: Iterable[str], explanandum: Assignment
+) -> tuple[tuple[str, ...], dict[str, str]]:
+    """Hypothesis variables in declaration order and the validated explanandum.
+
+    The explanandum binds at least one variable; every hypothesis variable is
+    declared and none is part of the explanandum.
+    """
+    e = check_assignment(net, explanandum)
+    if not e:
+        raise ValueError("explanandum must bind at least one variable")
+    names = set(hypothesis)
     for v in names:
         net.index(v)
-    return tuple(v.name for v in net.variables if v.name in names)
+    clash = names & set(e)
+    if clash:
+        raise ValueError(f"hypothesis variables overlap the explanandum: {', '.join(sorted(clash))}")
+    return tuple(v.name for v in net.variables if v.name in names), e
 
 
 def _argmax(candidates: Iterable[str], scores: Mapping[str, float]) -> str:
@@ -197,18 +210,12 @@ def causal_explanation_tree(
     """
     cfg = config or ExplainerConfig()
     eng = _engine(engine)
-    e = check_assignment(net, explanandum)
+    hyp, e = _explainer_roles(net, hypothesis, explanandum)
     o = check_assignment(net, observed or {})
-    if not e:
-        raise ValueError("explanandum must bind at least one variable")
     merge_assignments(e, o)  # conflicting re-bindings are an error
     # the explanandum is conditioned on separately; a consistent re-binding in
     # the observation set would only degenerate the prior to one
     o = {k: v for k, v in o.items() if k not in e}
-    hyp = _ordered_vars(net, hypothesis)
-    clash = set(hyp) & set(e)
-    if clash:
-        raise ValueError(f"hypothesis variables overlap the explanandum: {', '.join(sorted(clash))}")
 
     prior = eng.probability(net, e, o)
     if prior <= 0.0:
@@ -220,9 +227,7 @@ def _causal_scores(net, hyp, o, e, path, cfg, eng) -> dict[str, float]:
     scores = {}
     blocked = set(o) | set(path)
     for x in hyp:
-        if cfg.prune_unreachable and not any(
-            reachable(net, x, t, blocked - {x, t}) for t in e
-        ):
+        if cfg.prune_unreachable and not any(reachable(net, x, t, blocked) for t in e):
             scores[x] = 0.0
         elif x in o:
             rest = {k: v for k, v in o.items() if k != x}
@@ -288,13 +293,7 @@ def explanation_tree(
     """
     cfg = config or ExplainerConfig()
     eng = _engine(engine)
-    e = check_assignment(net, explanandum)
-    if not e:
-        raise ValueError("explanandum must bind at least one variable")
-    hyp = _ordered_vars(net, hypothesis)
-    clash = set(hyp) & set(e)
-    if clash:
-        raise ValueError(f"hypothesis variables overlap the explanandum: {', '.join(sorted(clash))}")
+    hyp, e = _explainer_roles(net, hypothesis, explanandum)
 
     if eng.probability(net, e) <= 0.0:
         raise ImpossibleEvidenceError("explanandum has probability zero")
@@ -378,13 +377,7 @@ def bayes_factor_search(
     """
     cfg = config or ExplainerConfig()
     eng = _engine(engine)
-    e = check_assignment(net, explanandum)
-    if not e:
-        raise ValueError("explanandum must bind at least one variable")
-    hyp = _ordered_vars(net, hypothesis)
-    clash = set(hyp) & set(e)
-    if clash:
-        raise ValueError(f"hypothesis variables overlap the explanandum: {', '.join(sorted(clash))}")
+    hyp, e = _explainer_roles(net, hypothesis, explanandum)
     if cfg.max_subset_size > len(hyp):
         raise ValueError(
             f"max_subset_size {cfg.max_subset_size} exceeds the {len(hyp)} hypothesis variables"

@@ -43,6 +43,16 @@ def _reduce(f: fa.Factor, evidence: Assignment, net: Network) -> fa.Factor:
     return f
 
 
+def _pop_product(work: list[fa.Factor], var: str, net: Network) -> fa.Factor:
+    """Take the factors whose scope holds ``var`` out of ``work``; return their product."""
+    touching = [f for f in work if var in f.scope]
+    work[:] = [f for f in work if var not in f.scope]
+    prod = touching[0]
+    for f in touching[1:]:
+        prod = fa.multiply(prod, f, net)
+    return prod
+
+
 @dataclass(frozen=True)
 class QueryResult:
     """Normalized distribution over the query targets plus the evidence mass.
@@ -53,6 +63,57 @@ class QueryResult:
 
     distribution: fa.Factor
     evidence_probability: float
+
+
+# -- the query contract shared by ExactEngine and OracleEngine ------------------------
+
+
+def _query_args(
+    net: Network, targets: Sequence[str], observed: Assignment | None, do: Assignment | None
+) -> tuple[dict[str, str], dict[str, str]]:
+    """Validated (observed, do) of a query; targets must be known and unobserved."""
+    observed = check_assignment(net, observed) if observed else {}
+    do = check_assignment(net, do) if do else {}
+    for t in targets:
+        net.index(t)
+        if t in observed:
+            raise ValueError(f"query target {t!r} is already observed")
+    return observed, do
+
+
+def _result(joint: fa.Factor, targets: Sequence[str]) -> QueryResult:
+    """Normalize the unnormalized joint over ``targets``; its total is the evidence mass.
+
+    Raises:
+        ImpossibleEvidenceError: ``targets`` nonempty and the evidence mass is zero.
+    """
+    z = float(joint.values.sum())
+    if not targets:
+        return QueryResult(distribution=fa.unit_factor(), evidence_probability=z)
+    if z <= 0.0:
+        raise ImpossibleEvidenceError("conditioning event has probability zero")
+    return QueryResult(distribution=fa.Factor(joint.scope, joint.values / z), evidence_probability=z)
+
+
+def _probability(
+    engine, net: Network, event: Assignment, observed: Assignment | None, do: Assignment | None
+) -> float:
+    """``engine.probability``: the ratio of two evidence masses of ``engine``.
+
+    The numerator's cells are a subset of the denominator's, so it is capped
+    there against rounding.
+    """
+    event = check_assignment(net, event)
+    observed = check_assignment(net, observed) if observed else {}
+    for var in do or {}:
+        if var in event or var in observed:
+            raise ValueError(f"variable {var!r} is both intervened and conditioned on")
+    joint = merge_assignments(event, observed)
+    denom = engine.query(net, (), observed, do).evidence_probability if observed else 1.0
+    if denom <= 0.0:
+        raise ImpossibleEvidenceError("conditioning event has probability zero")
+    numer = engine.query(net, (), joint, do).evidence_probability
+    return min(numer, denom) / denom
 
 
 class ExactEngine:
@@ -86,12 +147,7 @@ class ExactEngine:
             ImpossibleEvidenceError: ``targets`` nonempty and p(observed) = 0.
         """
         self.calls += 1
-        observed = check_assignment(net, observed or {})
-        do = check_assignment(net, do or {})
-        for t in targets:
-            net.index(t)
-            if t in observed:
-                raise ValueError(f"query target {t!r} is already observed")
+        observed, do = _query_args(net, targets, observed, do)
         factors = dict(_cpt_factors(net))
         for v, s in do.items():  # surgery: one-hot on the forced state, no parent axes
             factors[v] = fa.Factor((v,), np.eye(len(net.domain(v)))[net.state_index(v, s)])
@@ -113,25 +169,13 @@ class ExactEngine:
             joined = nbrs.pop(var)
             for u in joined - {var}:
                 nbrs[u] = (nbrs[u] | joined) - {var}
-            touching = [f for f in work if var in f.scope]
-            work = [f for f in work if var not in f.scope]
-            prod = touching[0]
-            for f in touching[1:]:
-                prod = fa.multiply(prod, f, net)
-            work.append(fa.marginalize(prod, var))
+            work.append(fa.marginalize(_pop_product(work, var, net), var))
             to_eliminate.discard(var)
 
-        result = fa.unit_factor()
+        joint = fa.unit_factor()
         for f in work:
-            result = fa.multiply(result, f, net)
-        z = float(result.values.sum())
-        if targets:
-            if z <= 0.0:
-                raise ImpossibleEvidenceError("conditioning event has probability zero")
-            dist = fa.Factor(result.scope, result.values / z)
-        else:
-            dist = fa.unit_factor()
-        return QueryResult(distribution=dist, evidence_probability=z)
+            joint = fa.multiply(joint, f, net)
+        return _result(joint, targets)
 
     def probability(
         self,
@@ -140,26 +184,14 @@ class ExactEngine:
         observed: Assignment | None = None,
         do: Assignment | None = None,
     ) -> float:
-        """p(event | observed) after interventions ``do``.
+        """p(event | observed) after interventions ``do``, at most one.
 
         An empty event has probability one. Bindings shared between event and
-        observations must agree; an observed set of probability zero raises
+        observations must agree, and no intervened variable may be conditioned
+        on; an observed set of probability zero raises
         :class:`ImpossibleEvidenceError`.
         """
-        event = check_assignment(net, event)
-        observed = check_assignment(net, observed or {})
-        for var in do or {}:
-            if var in event or var in observed:
-                raise ValueError(f"variable {var!r} is both intervened and conditioned on")
-        joint = merge_assignments(event, observed)
-        if observed:
-            denom = self.query(net, (), observed, do).evidence_probability
-            if denom <= 0.0:
-                raise ImpossibleEvidenceError("conditioning event has probability zero")
-        else:
-            denom = 1.0
-        numer = self.query(net, (), joint, do).evidence_probability
-        return numer / denom
+        return _probability(self, net, event, observed, do)
 
 
 # -- module-level operations ------------------------------------------------------
@@ -218,10 +250,6 @@ def conditional_mutual_information(
     """
     if x == y:
         raise ValueError("mutual information needs two distinct variables")
-    context = check_assignment(net, context or {})
-    for v in (x, y):
-        if v in context:
-            raise ValueError(f"variable {v!r} appears in the conditioning context")
     qr = _engine(engine).query(net, (x, y), context)
     values = qr.distribution.values
     if qr.distribution.scope[0] != x:
@@ -246,7 +274,6 @@ def mpe(
     lexicographically smallest (by declaration order, then state order) among
     all maximizers. Returns the completion and its posterior probability.
     """
-    evidence = check_assignment(net, evidence)
     p_evidence = _engine(engine).query(net, (), evidence).evidence_probability
     if p_evidence <= 0.0:
         raise ImpossibleEvidenceError("evidence has probability zero")
@@ -258,12 +285,7 @@ def mpe(
 
     traceback: dict[str, tuple[tuple[str, ...], np.ndarray]] = {}
     for var in reversed(free):
-        touching = [f for f in work if var in f.scope]
-        work = [f for f in work if var not in f.scope]
-        prod = touching[0]
-        for f in touching[1:]:
-            prod = fa.multiply(prod, f, net)
-        maxed, arg = fa.max_out(prod, var)
+        maxed, arg = fa.max_out(_pop_product(work, var, net), var)
         traceback[var] = (maxed.scope, arg)
         work.append(maxed)
 

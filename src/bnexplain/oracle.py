@@ -18,12 +18,13 @@ import numpy as np
 
 from . import factors as fa
 from .errors import ImpossibleEvidenceError, OracleDivergenceError, StateSpaceError
-from .inference import ExactEngine, QueryResult
+from .inference import ExactEngine, QueryResult, _probability, _query_args, _result
 from .network import Network, check_assignment, merge_assignments, topological_order
 
 Assignment = Mapping[str, str]
 
 DEFAULT_CELL_CAP = 2**20
+_TOLERANCE = 1e-9  # largest engine-vs-oracle gap CheckedEngine accepts
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +87,8 @@ def oracle_query(
 
     Pure summation semantics: an event that contradicts the conditioning has
     an empty match set and probability zero (point conditioning therefore
-    yields only 0 or 1).
+    yields only 0 or 1). The numerator's cells are a subset of the
+    denominator's, so it is capped there against rounding.
     """
     event = check_assignment(net, event)
     given = check_assignment(net, given or {})
@@ -97,26 +99,25 @@ def oracle_query(
         joint = merge_assignments(event, given)
     except ValueError:
         return 0.0
-    return float(table.values[_slicer(table, net, joint)].sum()) / denom
+    return min(float(table.values[_slicer(table, net, joint)].sum()), denom) / denom
 
 
 class OracleEngine:
-    """Enumeration-backed engine with the same query surface as ExactEngine.
+    """Enumeration-backed engine with the same query contract as ExactEngine.
 
     Joint tables are cached per (network, intervention set), so repeated
     queries against the same post-intervention distribution stay cheap.
     """
 
-    def __init__(self, cap: int = DEFAULT_CELL_CAP) -> None:
+    def __init__(self) -> None:
         self.calls = 0
-        self.cap = cap
         self._cache: weakref.WeakKeyDictionary[Network, dict] = weakref.WeakKeyDictionary()
 
-    def _table(self, net: Network, do: Assignment | None) -> JointTable:
-        key = tuple(sorted((do or {}).items()))
+    def _table(self, net: Network, do: dict[str, str]) -> JointTable:
+        key = tuple(do.items())  # validated, so in declaration order
         per_net = self._cache.setdefault(net, {})
         if key not in per_net:
-            per_net[key] = enumerate_joint(net, do, self.cap)
+            per_net[key] = enumerate_joint(net, do)
         return per_net[key]
 
     def query(
@@ -127,28 +128,15 @@ class OracleEngine:
         do: Assignment | None = None,
     ) -> QueryResult:
         self.calls += 1
-        observed = check_assignment(net, observed or {})
-        for t in targets:
-            net.index(t)
-            if t in observed:
-                raise ValueError(f"query target {t!r} is already observed")
+        observed, do = _query_args(net, targets, observed, do)
         table = self._table(net, do)
         block = table.values[_slicer(table, net, observed)]
         kept = [v for v in table.scope if v not in observed]
-        drop = tuple(i for i, v in enumerate(kept) if v not in set(targets))
-        marginal = block.sum(axis=drop) if drop else block
-        z = float(marginal.sum()) if targets else float(block.sum())
-        if targets:
-            if z <= 0.0:
-                raise ImpossibleEvidenceError("conditioning event has probability zero")
-            remaining = [v for v in kept if v in set(targets)]
-            order = sorted(range(len(remaining)), key=lambda i: net.index(remaining[i]))
-            dist = fa.Factor(
-                tuple(remaining[i] for i in order), marginal.transpose(order) / z
-            )
-        else:
-            dist = fa.unit_factor()
-        return QueryResult(distribution=dist, evidence_probability=z)
+        drop = tuple(i for i, v in enumerate(kept) if v not in targets)
+        remaining = [v for v in kept if v in targets]
+        order = sorted(range(len(remaining)), key=lambda i: net.index(remaining[i]))
+        joint = block.sum(axis=drop).transpose(order)
+        return _result(fa.Factor(tuple(remaining[i] for i in order), joint), targets)
 
     def probability(
         self,
@@ -157,36 +145,27 @@ class OracleEngine:
         observed: Assignment | None = None,
         do: Assignment | None = None,
     ) -> float:
-        event = check_assignment(net, event)
-        observed = check_assignment(net, observed or {})
-        if do:
-            for var in do:
-                if var in event or var in observed:
-                    raise ValueError(f"variable {var!r} is both intervened and conditioned on")
-        self.calls += 1
-        return oracle_query(self._table(net, do), net, event, observed)
+        return _probability(self, net, event, observed, do)
 
 
 class CheckedEngine:
     """Runs every query on two engines and insists they agree.
 
-    Wraps a primary engine (normally :class:`ExactEngine`) and a reference
-    (normally :class:`OracleEngine`); any probability differing by more than
-    ``tolerance`` raises :class:`OracleDivergenceError`. Results returned are
-    always the primary's.
+    Wraps a primary engine (normally :class:`ExactEngine`) and an
+    :class:`OracleEngine`; any probability differing by more than 1e-9 raises
+    :class:`OracleDivergenceError`. Results returned are always the primary's.
     """
 
-    def __init__(self, primary=None, reference=None, tolerance: float = 1e-9) -> None:
+    def __init__(self, primary=None) -> None:
         self.primary = primary if primary is not None else ExactEngine()
-        self.reference = reference if reference is not None else OracleEngine()
-        self.tolerance = tolerance
+        self.reference = OracleEngine()
 
     @property
     def calls(self) -> int:
         return self.primary.calls
 
     def _agree(self, kind: str, a: float, b: float) -> None:
-        if abs(a - b) > self.tolerance:
+        if abs(a - b) > _TOLERANCE:
             raise OracleDivergenceError(
                 f"{kind} diverges from the enumeration oracle: {a!r} vs {b!r}"
             )
@@ -195,16 +174,13 @@ class CheckedEngine:
         got = self.primary.query(net, targets, observed, do)
         want = self.reference.query(net, targets, observed, do)
         self._agree("evidence probability", got.evidence_probability, want.evidence_probability)
-        if targets:
-            if got.distribution.scope != want.distribution.scope:
-                raise OracleDivergenceError(
-                    f"distribution scopes differ: {got.distribution.scope} vs {want.distribution.scope}"
-                )
-            gap = float(np.max(np.abs(got.distribution.values - want.distribution.values)))
-            if gap > self.tolerance:
-                raise OracleDivergenceError(
-                    f"distribution diverges from the enumeration oracle by {gap!r}"
-                )
+        if got.distribution.scope != want.distribution.scope:
+            raise OracleDivergenceError(
+                f"distribution scopes differ: {got.distribution.scope} vs {want.distribution.scope}"
+            )
+        gap = float(np.max(np.abs(got.distribution.values - want.distribution.values)))
+        if gap > _TOLERANCE:
+            raise OracleDivergenceError(f"distribution diverges from the enumeration oracle by {gap!r}")
         return got
 
     def probability(self, net, event, observed=None, do=None) -> float:
@@ -254,16 +230,15 @@ def oracle_conditional_mutual_information(
     return total
 
 
-def _oracle_forced_event(net, event, observed, do, source):
-    """p(source | observed, do) and p(event | observed, do(source=s), do) per state."""
+def _oracle_forced(net, source, observed, do, measure):
+    """p(source | observed, do), then ``measure`` of the joint table under
+    do(do, source=s) keyed by the index of every state s of positive posterior,
+    and their posterior-weighted mixture."""
     base = enumerate_joint(net, do)
     p_source = [oracle_query(base, net, {source: s}, observed) for s in net.domain(source)]
-    p_event = {}
-    for i, s in enumerate(net.domain(source)):
-        if p_source[i] > 0.0:
-            forced = enumerate_joint(net, {**(do or {}), source: s})
-            p_event[i] = oracle_query(forced, net, event, observed)
-    return p_source, p_event
+    forced = {i: measure(enumerate_joint(net, {**(do or {}), source: s}))
+              for i, s in enumerate(net.domain(source)) if p_source[i] > 0.0}
+    return p_source, forced, sum(p_source[i] * forced[i] for i in forced)
 
 
 def oracle_information_flow(
@@ -273,20 +248,16 @@ def oracle_information_flow(
     do: Assignment | None = None,
     observed: Assignment | None = None,
 ) -> float:
-    observed = dict(observed or {})
-    base = enumerate_joint(net, do)
-    p_source = [oracle_query(base, net, {source: s}, observed) for s in net.domain(source)]
-    dists = {}
-    for i, s in enumerate(net.domain(source)):
-        if p_source[i] > 0.0:
-            forced = enumerate_joint(net, {**(do or {}), source: s})
-            dists[i] = [oracle_query(forced, net, {target: t}, observed) for t in net.domain(target)]
+    p_source, dists, mixture = _oracle_forced(
+        net, source, observed, do,
+        lambda table: np.array([oracle_query(table, net, {target: t}, observed)
+                                for t in net.domain(target)]),
+    )
     total = 0.0
     for j in range(len(net.domain(target))):
-        mixture = sum(p_source[i] * dists[i][j] for i in dists)
         for i in dists:
             if dists[i][j] > 0.0:
-                total += p_source[i] * dists[i][j] * math.log2(dists[i][j] / mixture)
+                total += p_source[i] * dists[i][j] * math.log2(dists[i][j] / mixture[j])
     return total
 
 
@@ -297,12 +268,12 @@ def oracle_flow_to_state(
     observed: Assignment | None = None,
     do: Assignment | None = None,
 ) -> float:
-    observed = dict(observed or {})
     p_e = oracle_query(enumerate_joint(net, do), net, explanandum, observed)
     if p_e <= 0.0:
         raise ImpossibleEvidenceError("explanandum has probability zero in this context")
-    p_source, p_event = _oracle_forced_event(net, explanandum, observed, do, source)
-    mixture = sum(p_source[i] * p_event[i] for i in p_event)
+    p_source, p_event, mixture = _oracle_forced(
+        net, source, observed, do, lambda table: oracle_query(table, net, explanandum, observed)
+    )
     total = 0.0
     for i, v in p_event.items():
         if v > 0.0:
@@ -318,16 +289,15 @@ def oracle_pointwise_flow(
     observed_rest: Assignment | None = None,
     do: Assignment | None = None,
 ) -> float:
-    observed_rest = dict(observed_rest or {})
-    p_source, p_event = _oracle_forced_event(net, explanandum, observed_rest, do, source)
-    mixture = sum(p_source[i] * p_event[i] for i in p_event)
+    def p_event_in(table):
+        return oracle_query(table, net, explanandum, observed_rest)
+
+    _, p_event, mixture = _oracle_forced(net, source, observed_rest, do, p_event_in)
     if mixture <= 0.0:
         raise ImpossibleEvidenceError("explanandum has probability zero in this context")
-    hit = net.state_index(source, state)
-    numer = p_event.get(hit)
-    if numer is None:
-        forced = enumerate_joint(net, {**(do or {}), source: state})
-        numer = oracle_query(forced, net, explanandum, observed_rest)
+    numer = p_event.get(net.state_index(source, state))
+    if numer is None:  # the known state has posterior zero
+        numer = p_event_in(enumerate_joint(net, {**(do or {}), source: state}))
     if numer <= 0.0:
         return float("-inf")
     return math.log2(numer / mixture)

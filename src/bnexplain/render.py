@@ -105,9 +105,9 @@ def to_json_text(obj: dict) -> str:
 # -- DOT ------------------------------------------------------------------------
 
 
-def tree_to_dot(tree: ExplanationTree, graph_name: str = "explanation_tree") -> str:
+def tree_to_dot(tree: ExplanationTree) -> str:
     """Graphviz digraph: one node statement per tree node, one labeled edge per branch."""
-    lines = [f"digraph {graph_name} {{"]
+    lines = ["digraph explanation_tree {"]
     counter = [0]
 
     def declare(node: ExplanationTree) -> str:

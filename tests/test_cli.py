@@ -162,6 +162,10 @@ def test_usage_errors_exit_1(capsys):
         ("query", "--network", DRUG, "--event", "Recovery=rec", "--bogus"),
         ("mpe", "--network", DRUG, "--evidence", "Recovery=rec", "--format", "dot"),
         ("query", "--network", DRUG, "--event", "Drug=yes", "--do", "Drug=no"),  # role clash
+        ("cet", "--network", DRUG, "--explanandum", "Recovery=rec,Recovery=norec"),  # conflict
+        *((cmd, "--network", DRUG, flag, ",") for cmd, flag in                   # binds nothing
+          [("cet", "--explanandum"), ("et", "--explanandum"), ("bf", "--explanandum"),
+           ("mpe", "--evidence"), ("query", "--event")]),
     ]
     for argv in cases:
         code, out, err = run(capsys, *argv)

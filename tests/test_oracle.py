@@ -71,7 +71,7 @@ def test_oracle_engine_agrees_with_exact_engine(asia):
 
 
 def test_checked_engine_passes_on_agreement(drug):
-    eng = CheckedEngine(tolerance=1e-9)
+    eng = CheckedEngine()
     assert eng.probability(drug, {"Recovery": "rec"}, {"Drug": "yes"}) == \
         pytest.approx(0.5, abs=1e-12)
     qr = eng.query(drug, ("Recovery",), {"Sex": "m"})
@@ -83,6 +83,6 @@ def test_checked_engine_raises_on_divergence(drug):
         def probability(self, net, event, observed=None, do=None):
             return super().probability(net, event, observed, do) + 1e-6
 
-    eng = CheckedEngine(primary=RiggedEngine(), tolerance=1e-9)
+    eng = CheckedEngine(primary=RiggedEngine())
     with pytest.raises(OracleDivergenceError):
         eng.probability(drug, {"Recovery": "rec"})
