@@ -9,6 +9,7 @@ network file, 3 impossible conditioning, 4 oracle cross-check divergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import render
@@ -55,7 +56,9 @@ def _common_flags(parser, formats=("ascii", "json")):
                              "exit 4 on divergence beyond 1e-9")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The ``bnexplain`` argument parser, built on first use and shared afterwards."""
     parser = _Parser(prog="bnexplain", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -50,9 +50,13 @@ class ExplainerConfig:
         Bayes-factor ranking (the default). Disable to rank every partial
         assignment individually.
     prune_unreachable:
-        Skip scoring causal-tree candidates that have no directed path to the
-        explanandum avoiding the currently observed and intervened variables;
-        such candidates score zero without touching the inference engine.
+        Score zero, without touching the inference engine, every causal-tree
+        candidate that has no directed path to the explanandum avoiding the
+        currently observed and intervened variables. This is a rule, not only
+        a shortcut: through an observed collider such a candidate can still
+        have nonzero flow (forcing Tuberculosis in asia with TbOrCa observed
+        explains LungCancer away and moves Dyspnea), so the two settings can
+        grow different trees.
     """
 
     alpha: float = 0.0

@@ -2,10 +2,11 @@
 
 The central object is :class:`ExactEngine`, whose :meth:`ExactEngine.query`
 answers one conditional (optionally post-intervention) distribution query per
-call from CPT factors compiled once per network, eliminating only the
-variables the answer depends on. The module-level functions wrap a throwaway
-engine for one-off use; explainers accept an engine so call counts and
-cross-checking behave consistently across a whole tree construction.
+call from the CPT factors and the elimination order compiled once per network,
+eliminating only the variables the answer depends on. The module-level
+functions wrap a throwaway engine for one-off use; explainers accept an engine
+so call counts and cross-checking behave consistently across a whole tree
+construction.
 """
 
 from __future__ import annotations
@@ -25,13 +26,26 @@ Assignment = Mapping[str, str]
 def _cpt_factors(net: Network) -> dict[str, fa.Factor]:
     """CPT factors of the immutable ``net``, built on first use and cached read-only on it.
 
-    Concurrent first uses build identical factors and publish them in one store.
+    The same step compiles ``net._elimination_rank``, the position of each
+    variable in one min-degree elimination order of the moral graph,
+    declaration order breaking ties. It is published before the factors, so a
+    thread that sees the factors also sees the order. Concurrent first uses
+    build identical factors and orders and publish them in one store each.
     """
     cached = getattr(net, "_cpt_factors", None)
     if cached is None:
         cached = {v.name: fa.from_cpt(net, v.name) for v in net.variables}
         for f in cached.values():
             f.values.flags.writeable = False
+        nbrs = {v: set().union(*(f.scope for f in cached.values() if v in f.scope)) for v in cached}
+        rank: dict[str, int] = {}
+        while nbrs:
+            var = min(nbrs, key=lambda u: (len(nbrs[u]), net.index(u)))
+            joined = nbrs.pop(var)
+            for u in joined - {var}:
+                nbrs[u] = (nbrs[u] | joined) - {var}
+            rank[var] = len(rank)
+        net._elimination_rank = rank
         net._cpt_factors = cached
     return cached
 
@@ -122,9 +136,13 @@ class ExactEngine:
     An intervention is factor surgery: the variable's factor becomes one-hot on
     the forced state, without parent axes. Only targets, observed variables and
     their ancestors after surgery take part; all others are barren and sum to
-    one. Elimination order is min-degree on that pruned set, declaration order
-    breaking ties. The ``calls`` counter increments once per query and exists
-    purely as a diagnostic; results are pure functions of the arguments.
+    one. They are eliminated in the network's compiled order (min-degree on the
+    whole moral graph, declaration order breaking ties) restricted to the
+    pruned set. Eliminating every variable of a subgraph in the restriction of
+    an order builds no factor wider than that order builds on the whole graph,
+    which bounds every query without targets. The ``calls`` counter increments
+    once per query and exists purely as a diagnostic; results are pure
+    functions of the arguments.
     """
 
     def __init__(self) -> None:
@@ -161,16 +179,8 @@ class ExactEngine:
 
         work = [_reduce(factors[v], observed, net) for v in sorted(relevant, key=net.index)]
 
-        # interaction graph for the min-degree order, declaration order breaking ties
-        nbrs = {v: set().union(*(f.scope for f in work if v in f.scope)) for v in relevant}
-        to_eliminate = relevant.difference(targets, observed)
-        while to_eliminate:
-            var = min(to_eliminate, key=lambda u: (len(nbrs[u]), net.index(u)))
-            joined = nbrs.pop(var)
-            for u in joined - {var}:
-                nbrs[u] = (nbrs[u] | joined) - {var}
+        for var in sorted(relevant.difference(targets, observed), key=net._elimination_rank.get):
             work.append(fa.marginalize(_pop_product(work, var, net), var))
-            to_eliminate.discard(var)
 
         joint = fa.unit_factor()
         for f in work:

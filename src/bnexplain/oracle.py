@@ -10,7 +10,6 @@ CLI's ``--oracle-check`` flag through :class:`CheckedEngine`.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -106,19 +105,20 @@ class OracleEngine:
     """Enumeration-backed engine with the same query contract as ExactEngine.
 
     Joint tables are cached per (network, intervention set), so repeated
-    queries against the same post-intervention distribution stay cheap.
+    queries against the same post-intervention distribution stay cheap. The
+    cache is keyed by network identity and holds the network, so its id cannot
+    be reused while the entry lives.
     """
 
     def __init__(self) -> None:
         self.calls = 0
-        self._cache: weakref.WeakKeyDictionary[Network, dict] = weakref.WeakKeyDictionary()
+        self._tables: dict[tuple[int, tuple], tuple[Network, JointTable]] = {}
 
     def _table(self, net: Network, do: dict[str, str]) -> JointTable:
-        key = tuple(do.items())  # validated, so in declaration order
-        per_net = self._cache.setdefault(net, {})
-        if key not in per_net:
-            per_net[key] = enumerate_joint(net, do)
-        return per_net[key]
+        key = (id(net), tuple(do.items()))  # validated, so in declaration order
+        if key not in self._tables:
+            self._tables[key] = (net, enumerate_joint(net, do))
+        return self._tables[key][1]
 
     def query(
         self,

@@ -220,3 +220,20 @@ def test_oracle_divergence_exits_4(capsys, monkeypatch):
 def test_help_exits_0(capsys):
     code, out, err = run(capsys, "--help")
     assert code == 0
+
+
+def test_repeated_in_process_runs_match_fresh_processes(capsys):
+    # one parser serves every in-process run, so no flag of one run may leak into the next
+    import subprocess
+    import sys
+
+    assert cli.build_parser() is cli.build_parser()
+    for argv in [
+        ("query", "--network", DRUG, "--event", "Recovery=rec", "--observe", "Drug=yes"),
+        ("query", "--network", DRUG, "--event", "Recovery=rec"),
+        ("cet", "--network", ASIA, "--explanandum", "Dyspnea=yes", "--observe", "Smoker=yes"),
+        ("cet", "--network", ASIA, "--explanandum", "Dyspnea=yes"),
+    ]:
+        fresh = subprocess.run([sys.executable, "-m", "bnexplain", *argv],
+                               capture_output=True, text=True, timeout=120)
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

@@ -15,6 +15,7 @@ from bnexplain import (
     count_nodes,
     event_probability,
     explanation_tree,
+    flow_to_state,
     iter_paths,
     mpe_explanation,
     oracle_event_probability,
@@ -145,7 +146,8 @@ def test_cet_selects_only_causal_ancestors(asia):
 
 
 def test_cet_reachability_pruning_changes_nothing(drug, asia):
-    # shortcutting unreachable candidates must not alter the tree
+    # no candidate here reaches the explanandum only through an observed
+    # collider, so scoring unreachable candidates zero alters no tree
     cases = [
         (drug, ["Sex", "Drug"], {}, REC, 0.0),
         (asia, [v.name for v in asia.variables if v.name not in ("X-ray", "TbOrCa")],
@@ -159,6 +161,19 @@ def test_cet_reachability_pruning_changes_nothing(drug, asia):
         full = causal_explanation_tree(net, hyp, obs, e,
                                        ExplainerConfig(alpha=alpha, prune_unreachable=False))
         assert pruned == full
+
+
+def test_cet_pruning_scores_zero_past_an_observed_collider(asia):
+    # With TbOrCa observed, forcing Tuberculosis explains LungCancer away, which
+    # moves Smoker, Bronchitis and so Dyspnea: nonzero flow without a directed
+    # path that avoids the observation. Pruning scores it zero, so trees differ.
+    assert flow_to_state(asia, "Tuberculosis", {"Dyspnea": "yes"}, {"TbOrCa": "yes"}) > 1e-5
+    assert not reachable(asia, "Tuberculosis", "Dyspnea", {"TbOrCa"})
+    hyp = ["VisitAsia", "Tuberculosis", "LungCancer", "Smoker", "Bronchitis"]
+    pruned, full = (causal_explanation_tree(asia, hyp, {"TbOrCa": "yes"}, {"Dyspnea": "yes"},
+                                            ExplainerConfig(alpha=0.0, prune_unreachable=p))
+                    for p in (True, False))
+    assert pruned != full
 
 
 def test_cet_deterministic(drug):

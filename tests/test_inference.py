@@ -335,7 +335,8 @@ def test_cold_cache_filled_by_four_threads_matches_serial_results():
         eng = ExactEngine()
         return [eng.query(net, *q) for q in queries]
 
-    serial = run_all(fresh())
+    serial_net = fresh()
+    serial = run_all(serial_net)
     net = fresh()  # cold cache, filled by whichever thread gets there first
     start = threading.Barrier(4)
     old = sys.getswitchinterval()
@@ -346,8 +347,50 @@ def test_cold_cache_filled_by_four_threads_matches_serial_results():
             results = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(old)
+    assert net._elimination_rank == serial_net._elimination_rank
     for threaded in results:
         for got, want in zip(threaded, serial):
             assert got.evidence_probability == want.evidence_probability
             assert got.distribution.scope == want.distribution.scope
             assert np.array_equal(got.distribution.values, want.distribution.values)
+
+
+def _ladder(n):
+    """2 x n binary ladder declared row by row: A(i) -> A(i+1), B(i) -> B(i+1), A(i) -> B(i)."""
+    from bnexplain import Cpt, Network, Variable
+
+    rng = np.random.default_rng(24)
+    variables = [Variable(f"{row}{i}", ("f", "t")) for row in "AB" for i in range(n)]
+    parents = {f"A{i}": (f"A{i - 1}",) * (i > 0) for i in range(n)}
+    parents.update({f"B{i}": (f"A{i}",) + (f"B{i - 1}",) * (i > 0) for i in range(n)})
+    cpts = {}
+    for var, pa in parents.items():
+        rows = tuple((p, 1.0 - p) for p in rng.uniform(0.1, 0.9, size=2 ** len(pa)).tolist())
+        cpts[var] = Cpt(var, pa, rows)
+    return Network(variables, cpts, name="ladder")
+
+
+def test_ladder_probabilities_build_no_factor_wider_than_three(monkeypatch):
+    # eliminating in declaration or reverse declaration order builds factors
+    # of 24 or 25 variables here; the min-degree order keeps them at 3
+    import bnexplain.factors as fa
+
+    widest = {"n": 0}
+    multiply = fa.multiply
+
+    def spying(f, g, net):
+        prod = multiply(f, g, net)
+        widest["n"] = max(widest["n"], len(prod.scope))
+        return prod
+
+    monkeypatch.setattr(fa, "multiply", spying)
+    net = _ladder(24)
+    eng = ExactEngine()
+    for event, observed, do in [
+        ({"B23": "t"}, {"A23": "t"}, None),
+        ({"B23": "t"}, {"A23": "f"}, {"B0": "t"}),
+        ({"B23": "t"}, {}, {"A12": "t"}),
+        ({"A0": "t"}, {"B23": "t"}, {"B11": "f"}),
+    ]:
+        assert 0.0 < eng.probability(net, event, observed, do) < 1.0
+    assert 2 <= widest["n"] <= 3

@@ -86,3 +86,22 @@ def test_checked_engine_raises_on_divergence(drug):
     eng = CheckedEngine(primary=RiggedEngine())
     with pytest.raises(OracleDivergenceError):
         eng.probability(drug, {"Recovery": "rec"})
+
+
+def test_checked_queries_never_compare_networks(asia, monkeypatch):
+    # the oracle's joint tables are found by network identity, not by value
+    from bnexplain import Network
+
+    compared = {"n": 0}
+    eq = Network.__eq__
+
+    def counting(self, other):
+        compared["n"] += 1
+        return eq(self, other)
+
+    monkeypatch.setattr(Network, "__eq__", counting)
+    eng = CheckedEngine()
+    for _ in range(3):
+        eng.probability(asia, {"Dyspnea": "yes"}, {"Smoker": "yes"})
+        eng.query(asia, ("Dyspnea",), {"Smoker": "yes"}, {"Bronchitis": "no"})
+    assert compared["n"] == 0
