@@ -30,6 +30,33 @@ def _forced(eng, net, source, o, d, measure):
     return p_source, forced, sum(p_source[i] * forced[i] for i in forced)
 
 
+def _state_terms(eng, net, source, e, o, d):
+    """:func:`_forced` with the measure p(e | o, do(·)): the terms that
+    :func:`_state_flow`, :func:`_pointwise` and the causal tree's labels share."""
+    return _forced(eng, net, source, o, d, partial(eng.probability, net, e, o))
+
+
+def _state_flow(terms, p_e: float) -> float:
+    """Flow to the explanandum state from its ``terms`` and p(e | o, do(d)) > 0."""
+    p_source, p_e_forced, mixture = terms
+    return sum(((p_source[i] * v / p_e) * math.log2(v / mixture)
+                for i, v in p_e_forced.items() if v > 0.0), 0.0)
+
+
+def _pointwise(eng, net, source, state, e, o, d, terms) -> float:
+    """log2 of p(e | o, do(d, source=state)) over the mixture of ``terms``.
+
+    The known state's term is asked of the engine only when its posterior is
+    zero, so that it is missing from ``terms``.
+    """
+    _, p_e_forced, mixture = terms
+    if mixture <= 0.0:
+        raise ImpossibleEvidenceError("explanandum has probability zero in this context")
+    i = net.state_index(source, state)
+    numer = p_e_forced[i] if i in p_e_forced else eng.probability(net, e, o, {**d, source: state})
+    return math.log2(numer / mixture) if numer > 0.0 else float("-inf")
+
+
 def _check_roles(net: Network, **roles: Assignment | None) -> dict[str, dict[str, str]]:
     out = {name: check_assignment(net, a or {}) for name, a in roles.items()}
     for a, b in itertools.combinations(out, 2):
@@ -122,6 +149,8 @@ def flow_to_state(
     divided by its current probability, so that averaging over explanandum
     states weighted by their probability recovers the full flow. May be
     negative when forcing the source tends to make the explanandum rarer.
+    Validates, then applies :func:`_state_flow` to the :func:`_state_terms`
+    that a causal-tree node computes for each unobserved candidate.
     """
     e, o, d = _flow_roles(net, source, explanandum, observed, do)
     eng = _engine(engine)
@@ -129,13 +158,7 @@ def flow_to_state(
     p_e = eng.probability(net, e, o, d)
     if p_e <= 0.0:
         raise ImpossibleEvidenceError("explanandum has probability zero in this context")
-    p_source, p_e_forced, mixture = _forced(eng, net, source, o, d, partial(eng.probability, net, e, o))
-
-    total = 0.0
-    for i, v in p_e_forced.items():
-        if v > 0.0:
-            total += (p_source[i] * v / p_e) * math.log2(v / mixture)
-    return total
+    return _state_flow(_state_terms(eng, net, source, e, o, d), p_e)
 
 
 def pointwise_flow(
@@ -155,19 +178,11 @@ def pointwise_flow(
     the log-ratio of the explanandum probability under do(source=state) to its
     mixture over all forced source values, weighted by the source posterior.
     Returns ``-inf`` when forcing the known value makes the explanandum
-    impossible.
+    impossible. Validates, then applies :func:`_pointwise` to the
+    :func:`_state_terms` that a causal-tree node computes for each observed
+    candidate.
     """
     e, o, d = _flow_roles(net, source, explanandum, observed_rest, do)
     net.state_index(source, state)
     eng = _engine(engine)
-
-    _, p_e_forced, mixture = _forced(eng, net, source, o, d, partial(eng.probability, net, e, o))
-    if mixture <= 0.0:
-        raise ImpossibleEvidenceError("explanandum has probability zero in this context")
-
-    numer = p_e_forced.get(net.state_index(source, state))
-    if numer is None:  # the known state has posterior zero
-        numer = eng.probability(net, e, o, {**d, source: state})
-    if numer <= 0.0:
-        return float("-inf")
-    return math.log2(numer / mixture)
+    return _pointwise(eng, net, source, state, e, o, d, _state_terms(eng, net, source, e, o, d))

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .causal import flow_to_state, pointwise_flow
+from .causal import _pointwise, _state_flow, _state_terms
 from .errors import ImpossibleEvidenceError
 from .inference import ExactEngine, _engine, conditional_mutual_information, mpe
 from .network import Network, check_assignment, merge_assignments, reachable
@@ -224,46 +224,52 @@ def causal_explanation_tree(
     prior = eng.probability(net, e, o)
     if prior <= 0.0:
         raise ImpossibleEvidenceError("explanandum has probability zero given the observations")
-    return _grow_causal(net, hyp, o, e, {}, prior, cfg, eng)
+    return _grow_causal(net, hyp, o, e, {}, prior, prior, cfg, eng)
 
 
-def _causal_scores(net, hyp, o, e, path, cfg, eng) -> dict[str, float]:
-    scores = {}
+def _grow_causal(net, hyp, o, e, path, p_e, prior, cfg, eng) -> ExplanationTree:
+    """Causal-tree node at ``path``, where p(e | o, do(path)) = ``p_e`` > 0.
+
+    Every reachable candidate x gets its :func:`~bnexplain.causal._state_terms`
+    p(x | o', do(path)), p(e | o', do(path, x=s)) and their mixture, with o'
+    the observations other than x; the flow to the state, or the pointwise
+    flow of an observed x, is computed from them as in the public flows. The
+    pick's terms are its branch labels and its children's p_e; only a pick
+    state of zero posterior is asked of the engine, and only there can the
+    intervention contradict the observations and prune the branch.
+    """
+    if not hyp:
+        return LEAF
+    scores, terms = {}, {}
     blocked = set(o) | set(path)
     for x in hyp:
         if cfg.prune_unreachable and not any(reachable(net, x, t, blocked) for t in e):
             scores[x] = 0.0
-        elif x in o:
-            rest = {k: v for k, v in o.items() if k != x}
-            scores[x] = pointwise_flow(net, x, o[x], e, rest, path, engine=eng)
-        else:
-            scores[x] = flow_to_state(net, x, e, o, path, engine=eng)
-    return scores
-
-
-def _grow_causal(net, hyp, o, e, path, prior, cfg, eng) -> ExplanationTree:
-    if not hyp:
-        return LEAF
-    scores = _causal_scores(net, hyp, o, e, path, cfg, eng)
+            continue
+        rest = {k: v for k, v in o.items() if k != x}
+        terms[x] = _state_terms(eng, net, x, e, rest, path)
+        scores[x] = (_pointwise(eng, net, x, o[x], e, rest, path, terms[x]) if x in o
+                     else _state_flow(terms[x], p_e))
     pick = _argmax(hyp, scores)
     if scores[pick] < cfg.alpha:
         return LEAF
 
     states = (o[pick],) if pick in o else net.domain(pick)
+    known = {net.domain(pick)[i]: p for i, p in terms[pick][1].items()} if pick in terms else {}
     o_rest = {k: v for k, v in o.items() if k != pick}
     remaining = tuple(v for v in hyp if v != pick)
     branches = []
     for state in states:
         forced = {**path, pick: state}
-        try:
-            p_forced = eng.probability(net, e, o_rest, forced)
+        try:  # only a state of zero posterior, or of an unscored pick, is asked
+            p_forced = known[state] if state in known else eng.probability(net, e, o_rest, forced)
         except ImpossibleEvidenceError:
             # the intervention contradicts the remaining observations
             branches.append(Branch(state, None, LEAF, pruned=True))
             continue
         if p_forced > 0.0:
             label = math.log2(p_forced / prior)
-            sub = _grow_causal(net, remaining, o_rest, e, forced, prior, cfg, eng)
+            sub = _grow_causal(net, remaining, o_rest, e, forced, p_forced, prior, cfg, eng)
         else:
             label = float("-inf")
             sub = LEAF
@@ -303,11 +309,15 @@ def explanation_tree(
         raise ImpossibleEvidenceError("explanandum has probability zero")
     if cfg.beta >= 1.0:
         return LEAF  # the empty path has posterior exactly 1
-    return _grow_noncausal(net, hyp, e, {}, cfg, eng)
+    return _grow_noncausal(net, hyp, e, {}, 1.0, cfg, eng)
 
 
-def _grow_noncausal(net, hyp, e, path, cfg, eng) -> ExplanationTree:
-    # caller guarantees p(path | e) > beta
+def _grow_noncausal(net, hyp, e, path, p_path, cfg, eng) -> ExplanationTree:
+    """Noncausal-tree node at ``path``, where p(path | e) = ``p_path`` > beta.
+
+    A branch label p(path, s | e) is ``p_path`` times p(s | e, path), one
+    query over the pick per node.
+    """
     if not hyp:
         return LEAF
     context = merge_assignments(e, path)
@@ -325,12 +335,13 @@ def _grow_noncausal(net, hyp, e, path, cfg, eng) -> ExplanationTree:
         return LEAF
 
     remaining = tuple(v for v in hyp if v != pick)
+    p_pick = eng.query(net, (pick,), context).distribution.values
     branches = []
-    for state in net.domain(pick):
+    for state, p_state in zip(net.domain(pick), p_pick.tolist()):
         extended = {**path, pick: state}
-        label = eng.probability(net, extended, e)
+        label = p_path * p_state
         if label > cfg.beta:
-            sub = _grow_noncausal(net, remaining, e, extended, cfg, eng)
+            sub = _grow_noncausal(net, remaining, e, extended, label, cfg, eng)
         else:
             sub = LEAF
         branches.append(Branch(state, label, sub))
@@ -393,13 +404,13 @@ def bayes_factor_search(
     skipped = 0
     for size in range(1, cfg.max_subset_size + 1):
         for subset in itertools.combinations(hyp, size):
-            for states in itertools.product(*(net.domain(v) for v in subset)):
-                h = dict(zip(subset, states))
-                prior = eng.probability(net, h)
+            priors = eng.query(net, subset).distribution.values.ravel().tolist()
+            posteriors = eng.query(net, subset, e).distribution.values.ravel().tolist()
+            assignments = itertools.product(*(net.domain(v) for v in subset))  # C order, as ravel
+            for states, prior, posterior in zip(assignments, priors, posteriors):
                 if prior <= 0.0 or prior >= 1.0:
                     skipped += 1
                     continue
-                posterior = eng.probability(net, h, e)
                 if posterior >= 1.0 - _ROUNDING_SLACK:  # certain up to rounding noise
                     score = float("inf")
                 elif cfg.raw_odds:

@@ -7,6 +7,7 @@ from bnexplain.datasets import network_path
 
 DRUG = str(network_path("drug"))
 ASIA = str(network_path("asia"))
+ACADEME = str(network_path("academe"))
 
 CYCLIC = """{
   "name": "cyclic",
@@ -192,6 +193,8 @@ def test_oracle_check_happy_paths(capsys):
         ("cet", "--network", DRUG, "--explanandum", "Recovery=rec", "--oracle-check"),
         ("mpe", "--network", DRUG, "--evidence", "Recovery=rec", "--oracle-check"),
         ("bf", "--network", DRUG, "--explanandum", "Recovery=rec", "--oracle-check"),
+        ("et", "--network", DRUG, "--explanandum", "Recovery=rec", "--oracle-check"),
+        ("et", "--network", ACADEME, "--explanandum", "FinalMark=pass", "--oracle-check"),
     ]:
         code, out, err = run(capsys, *argv)
         assert code == 0, f"{argv} -> {code}, err={err!r}"

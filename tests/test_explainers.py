@@ -1,9 +1,13 @@
+import collections
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from bnexplain import (
     Cpt,
+    ExactEngine,
     ExplainerConfig,
     ImpossibleEvidenceError,
     Network,
@@ -25,11 +29,49 @@ from bnexplain import (
 from bnexplain.render import tree_to_json_obj, to_json_text
 
 REC = {"Recovery": "rec"}
+ASIA_HYP = ["VisitAsia", "Tuberculosis", "LungCancer", "Smoker", "Bronchitis", "TbOrCa"]
+ACADEME_HYP = ["Theory", "Practice", "Extra", "Other"]
 
 
 def drug_cet(drug, **kwargs):
     return causal_explanation_tree(drug, ["Sex", "Drug"], {}, REC,
                                    ExplainerConfig(**kwargs))
+
+
+def copies_net():
+    # B and X are exact copies of A, E is a noisy child of X. With B observed,
+    # p(X=x1 | B=b0) = 0 although do(X=x1) is possible, while do(A=a1)
+    # contradicts B=b0.
+    variables = [Variable("A", ("a0", "a1")), Variable("B", ("b0", "b1")),
+                 Variable("X", ("x0", "x1")), Variable("E", ("e0", "e1"))]
+    cpts = {
+        "A": Cpt("A", (), ((0.5, 0.5),)),
+        "B": Cpt("B", ("A",), ((1.0, 0.0), (0.0, 1.0))),
+        "X": Cpt("X", ("A",), ((1.0, 0.0), (0.0, 1.0))),
+        "E": Cpt("E", ("X",), ((0.8, 0.2), (0.3, 0.7))),
+    }
+    return Network(variables, cpts, name="copies")
+
+
+# (network, hypothesis, observed, explanandum) per oracle case; ET and BF, which
+# have no observation set, explain the observations together with the explanandum
+ORACLE_CASES = {
+    "drug": ("drug", ["Sex", "Drug"], {}, REC),
+    "asia-observed-hypothesis": ("asia", ASIA_HYP, {"Smoker": "yes"}, {"Dyspnea": "yes"}),
+    "academe": ("academe", ACADEME_HYP, {}, {"FinalMark": "fail"}),
+    "copies": ("copies", ["A", "X"], {"B": "b0"}, {"E": "e0"}),
+}
+
+
+def oracle_case(request, name):
+    key, hyp, observed, explanandum = ORACLE_CASES[name]
+    net = copies_net() if key == "copies" else request.getfixturevalue(key)
+    return net, hyp, observed, explanandum
+
+
+def noncausal_case(request, name):
+    net, hyp, observed, explanandum = oracle_case(request, name)
+    return net, [v for v in hyp if v not in observed], {**observed, **explanandum}
 
 
 # -- causal explanation trees ------------------------------------------------------
@@ -60,17 +102,36 @@ def test_cet_drug_structure_and_labels(drug):
     assert got[("m", "yes")] > 0.0 > got[("f", "no")]
 
 
-def test_cet_label_consistency_via_independent_recompute(drug):
-    tree = drug_cet(drug, alpha=0.0)
-    prior = oracle_event_probability(drug, REC)
-    for pairs, label, pruned in iter_paths(tree):
-        forced = dict(pairs)
-        p = oracle_interventional_probability(drug, REC, do=forced)
-        assert label == pytest.approx(math.log2(p / prior), abs=1e-9)
-    # branch labels at the root too, not only the final ones
-    for branch in tree.branches:
-        p = oracle_interventional_probability(drug, REC, do={"Sex": branch.state})
-        assert branch.label == pytest.approx(math.log2(p / prior), abs=1e-9)
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_cet_label_consistency_via_independent_recompute(request, name):
+    net, hyp, observed, e = oracle_case(request, name)
+    tree = causal_explanation_tree(net, hyp, observed, e, ExplainerConfig(alpha=0.0))
+    prior = oracle_event_probability(net, e, observed)
+    seen = collections.Counter()
+
+    def walk(node, o, path):
+        if node.is_leaf():
+            return
+        o_rest = {k: v for k, v in o.items() if k != node.variable}
+        for b in node.branches:
+            forced = {**path, node.variable: b.state}
+            if node.variable not in o and oracle_interventional_probability(
+                    net, {node.variable: b.state}, o, path) == 0.0:
+                seen["pruned" if b.pruned else "zero posterior, possible"] += 1
+            if b.pruned:  # the intervention contradicts the remaining observations
+                assert b.label is None and b.subtree.is_leaf()
+                with pytest.raises(ImpossibleEvidenceError):
+                    oracle_interventional_probability(net, e, o_rest, forced)
+                continue
+            p = oracle_interventional_probability(net, e, o_rest, forced)
+            want = math.log2(p / prior) if p > 0.0 else float("-inf")
+            assert b.label == pytest.approx(want, abs=1e-9)
+            walk(b.subtree, o_rest, forced)
+
+    walk(tree, observed, {})
+    assert count_nodes(tree) > 1
+    if name == "copies":
+        assert seen == {"pruned": 1, "zero posterior, possible": 1}
 
 
 def test_cet_high_alpha_gives_empty_tree(drug):
@@ -221,22 +282,49 @@ def test_et_drug_alpha_zero_expands_fully(drug):
     assert score == pytest.approx(0.5, abs=1e-9)
 
 
-def test_et_label_consistency_and_sibling_sums(drug):
-    tree = explanation_tree(drug, ["Sex", "Drug"], REC, ExplainerConfig(alpha=0.0))
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_et_label_consistency_and_sibling_sums(request, name):
+    net, hyp, e = noncausal_case(request, name)
+    tree = explanation_tree(net, hyp, e, ExplainerConfig(alpha=0.0))
+    zero_branches = 0
 
     def walk(node, path, parent_label):
+        nonlocal zero_branches
         if node.is_leaf():
             return
         sibling_sum = 0.0
         for b in node.branches:
             extended = {**path, node.variable: b.state}
             assert b.label == pytest.approx(
-                oracle_event_probability(drug, extended, REC), abs=1e-9)
+                oracle_event_probability(net, extended, e), abs=1e-9)
+            zero_branches += b.label == 0.0
             sibling_sum += b.label
             walk(b.subtree, extended, b.label)
         assert sibling_sum == pytest.approx(parent_label, abs=1e-9)
 
     walk(tree, {}, 1.0)
+    assert count_nodes(tree) > 1
+    if name == "copies":
+        assert zero_branches == 2  # A=a1, and X=x1 below A=a0
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_bf_scores_match_oracle_bayes_factors(request, name):
+    net, hyp, e = noncausal_case(request, name)
+    cfg = ExplainerConfig(max_subset_size=2, top_k=10**6, best_per_subset=False)
+    ranking = bayes_factor_search(net, hyp, e, cfg)
+    assignments = sum(math.prod(len(net.domain(v)) for v in subset)
+                      for size in (1, 2) for subset in itertools.combinations(hyp, size))
+    assert len(ranking.entries) + ranking.skipped_degenerate == assignments
+    for entry in ranking.entries:
+        h = entry.as_dict()
+        prior = oracle_event_probability(net, h)
+        posterior = oracle_event_probability(net, h, e)
+        if posterior >= 1.0 - 1e-12:
+            want = float("inf")
+        else:
+            want = (posterior / (1.0 - posterior)) * ((1.0 - prior) / prior)
+        assert entry.score == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 def test_et_singleton_hypothesis(drug):
@@ -413,6 +501,17 @@ def test_bf_certain_posterior_scores_infinity_despite_rounding(asia):
     assert ranking.entries[0].assignment == (("TbOrCa", "yes"),)
 
 
+def test_bf_equivalent_hypotheses_keep_enumeration_order(asia):
+    # TbOrCa=no implies LungCancer=no, so both hypotheses are the same event
+    ranking = bayes_factor_search(
+        asia, ["VisitAsia", "Smoker", "LungCancer", "Bronchitis", "TbOrCa", "Dyspnea"],
+        {"X-ray": "normal"})
+    first, second = ranking.entries[:2]
+    assert first.assignment == (("TbOrCa", "no"),)
+    assert second.assignment == (("LungCancer", "no"), ("TbOrCa", "no"))
+    assert second.score == pytest.approx(first.score, rel=1e-12)
+
+
 def test_bf_max_subset_size_validated(drug):
     with pytest.raises(ValueError, match="max_subset_size"):
         bayes_factor_search(drug, ["Sex"], REC, ExplainerConfig(max_subset_size=2))
@@ -496,3 +595,54 @@ def test_cet_on_multistate_network(academe):
         assert label == pytest.approx(math.log2(p / prior), abs=1e-9)
     best, _ = best_explanation(tree, "cet")
     assert best["Theory"] == "bad" and best["Practice"] == "bad"
+
+
+# -- each explainer call asks each query once -------------------------------------------
+
+
+class RecordingEngine(ExactEngine):
+    """Records every query by (targets, sorted observed items, sorted do items)."""
+
+    def __init__(self):
+        super().__init__()
+        self.keys = []
+
+    def query(self, net, targets=(), observed=None, do=None):
+        self.keys.append((tuple(targets), tuple(sorted((observed or {}).items())),
+                          tuple(sorted((do or {}).items()))))
+        return super().query(net, targets, observed, do)
+
+
+RANDOM_HYP = ["V0", "V1", "V2", "V3", "V4"]
+NO_REPEAT_CASES = {
+    # Smoker is observed, so the causal tree scores it by pointwise flow
+    "asia-cet": ("cet", "asia", ASIA_HYP, {"Smoker": "yes"}, {"Dyspnea": "yes"}),
+    "asia-et": ("et", "asia", ASIA_HYP, {}, {"Dyspnea": "yes"}),
+    "asia-bf": ("bf", "asia", ASIA_HYP, {}, {"Dyspnea": "yes"}),
+    "academe-cet": ("cet", "academe", ACADEME_HYP, {}, {"FinalMark": "fail"}),
+    "academe-et": ("et", "academe", ACADEME_HYP, {}, {"FinalMark": "fail"}),
+    "random-cet": ("cet", "random", RANDOM_HYP, {"V3": "s0"}, {"V7": "s1"}),
+    "random-et": ("et", "random", RANDOM_HYP, {}, {"V7": "s1"}),
+    "random-bf": ("bf", "random", RANDOM_HYP, {}, {"V7": "s1"}),
+}
+
+
+@pytest.mark.parametrize("name", NO_REPEAT_CASES)
+def test_no_explainer_call_repeats_an_engine_query(request, net_factory, name):
+    kind, key, hyp, observed, e = NO_REPEAT_CASES[name]
+    if key == "random":
+        net = net_factory(np.random.default_rng(7), 8, max_states=3)
+    else:
+        net = request.getfixturevalue(key)
+    eng = RecordingEngine()
+    cfg = ExplainerConfig(alpha=0.0)
+    if kind == "cet":
+        causal_explanation_tree(net, hyp, observed, e, cfg, engine=eng)
+    elif kind == "et":
+        explanation_tree(net, hyp, e, cfg, engine=eng)
+    else:
+        bayes_factor_search(net, hyp, e, cfg, engine=eng)
+        subsets = len(hyp) + math.comb(len(hyp), 2)
+        assert len(eng.keys) == 1 + 2 * subsets  # p(e), then a prior and a posterior table each
+    repeats = {k: n for k, n in collections.Counter(eng.keys).items() if n > 1}
+    assert not repeats
