@@ -11,6 +11,8 @@ construction.
 
 from __future__ import annotations
 
+import heapq
+import threading
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -28,22 +30,34 @@ def _cpt_factors(net: Network) -> dict[str, fa.Factor]:
 
     The same step compiles ``net._elimination_rank``, the position of each
     variable in one min-degree elimination order of the moral graph,
-    declaration order breaking ties. It is published before the factors, so a
-    thread that sees the factors also sees the order. Concurrent first uses
-    build identical factors and orders and publish them in one store each.
+    declaration order breaking ties. The neighbour sets are built in one pass
+    over the factor scopes and each next variable is popped from a heap of
+    (degree, declaration index) with stale entries skipped, so compiling a
+    sparse network is near-linear in its size. The order is published before
+    the factors, so a thread that sees the factors also sees the order.
+    Concurrent first uses build identical factors and orders and publish them
+    in one store each.
     """
     cached = getattr(net, "_cpt_factors", None)
     if cached is None:
         cached = {v.name: fa.from_cpt(net, v.name) for v in net.variables}
         for f in cached.values():
             f.values.flags.writeable = False
-        nbrs = {v: set().union(*(f.scope for f in cached.values() if v in f.scope)) for v in cached}
+        nbrs: dict[str, set[str]] = {v: set() for v in cached}
+        for f in cached.values():
+            for v in f.scope:
+                nbrs[v].update(f.scope)
+        heap = [(len(nbrs[v]), net.index(v), v) for v in nbrs]
+        heapq.heapify(heap)
         rank: dict[str, int] = {}
-        while nbrs:
-            var = min(nbrs, key=lambda u: (len(nbrs[u]), net.index(u)))
+        while heap:
+            degree, _, var = heapq.heappop(heap)
+            if var in rank or degree != len(nbrs[var]):
+                continue  # stale: eliminated, or its degree changed since the push
             joined = nbrs.pop(var)
             for u in joined - {var}:
                 nbrs[u] = (nbrs[u] | joined) - {var}
+                heapq.heappush(heap, (len(nbrs[u]), net.index(u), u))
             rank[var] = len(rank)
         net._elimination_rank = rank
         net._cpt_factors = cached
@@ -141,12 +155,13 @@ class ExactEngine:
     pruned set. Eliminating every variable of a subgraph in the restriction of
     an order builds no factor wider than that order builds on the whole graph,
     which bounds every query without targets. The ``calls`` counter increments
-    once per query and exists purely as a diagnostic; results are pure
-    functions of the arguments.
+    once per query, under a lock so that concurrent queries count exactly, and
+    exists purely as a diagnostic; results are pure functions of the arguments.
     """
 
     def __init__(self) -> None:
         self.calls = 0
+        self._lock = threading.Lock()
 
     def query(
         self,
@@ -164,7 +179,8 @@ class ExactEngine:
         Raises:
             ImpossibleEvidenceError: ``targets`` nonempty and p(observed) = 0.
         """
-        self.calls += 1
+        with self._lock:
+            self.calls += 1
         observed, do = _query_args(net, targets, observed, do)
         factors = dict(_cpt_factors(net))
         for v, s in do.items():  # surgery: one-hot on the forced state, no parent axes

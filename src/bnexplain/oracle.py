@@ -1,16 +1,20 @@
 """Brute-force reference implementations by full-joint enumeration.
 
 Everything here recomputes probabilistic and information-theoretic quantities
-from an explicitly materialized joint table, with no factor elimination and no
-graph surgery, so it can serve as an independent check of the query engine at
-desk scale. It ships with the package (not only the tests) and backs the
-CLI's ``--oracle-check`` flag through :class:`CheckedEngine`.
+from an explicitly materialized joint table, so it can serve as an independent
+check of the query engine at desk scale. The table is a
+:class:`~bnexplain.factors.Factor` over every variable with axes in declaration
+order, the one layout of every table in the package. The oracle builds it from
+its own CPT terms and shares no factor elimination, surgery or cache with
+:class:`~bnexplain.inference.ExactEngine`. It ships with the package (not only
+the tests) and backs the CLI's ``--oracle-check`` flag through
+:class:`CheckedEngine`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -18,7 +22,7 @@ import numpy as np
 from . import factors as fa
 from .errors import ImpossibleEvidenceError, OracleDivergenceError, StateSpaceError
 from .inference import ExactEngine, QueryResult, _probability, _query_args, _result
-from .network import Network, check_assignment, merge_assignments, topological_order
+from .network import Network, check_assignment, merge_assignments
 
 Assignment = Mapping[str, str]
 
@@ -26,61 +30,50 @@ DEFAULT_CELL_CAP = 2**20
 _TOLERANCE = 1e-9  # largest engine-vs-oracle gap CheckedEngine accepts
 
 
-@dataclass(frozen=True, eq=False)
-class JointTable:
-    """Full joint distribution, one cell per complete assignment.
-
-    ``scope`` lists all network variables in topological order; ``values`` has
-    one axis per variable in that order.
-    """
-
-    scope: tuple[str, ...]
-    values: np.ndarray
+JointTable = fa.Factor  # the joint is a Factor over every variable, axes in declaration order
 
 
 def enumerate_joint(
     net: Network, do: Assignment | None = None, cap: int = DEFAULT_CELL_CAP
-) -> JointTable:
+) -> fa.Factor:
     """Materialize the (post-intervention) joint by truncated factorization.
 
-    Each cell is the product of CPT entries over non-intervened variables,
-    zeroed wherever an intervened variable deviates from its forced value.
+    Returns a :class:`~bnexplain.factors.Factor` whose scope is every network
+    variable in declaration order, one axis each, like every other table in
+    the package. Each cell is the product, taken in declaration order, of the
+    CPT entries of non-intervened variables, zeroed wherever an intervened
+    variable deviates from its forced value. The terms are built here from
+    :func:`~bnexplain.factors.from_cpt` and broadcast directly; nothing is
+    shared with the engine's compiled factors, elimination or surgery.
 
     Raises:
         StateSpaceError: the table would exceed ``cap`` cells.
     """
     do = check_assignment(net, do or {})
-    scope = topological_order(net)
-    cards = [len(net.domain(v)) for v in scope]
+    scope = tuple(v.name for v in net.variables)
+    cards = tuple(len(net.domain(v)) for v in scope)
     cells = math.prod(cards)
     if cells > cap:
         raise StateSpaceError(f"joint table would need {cells} cells (cap {cap})")
 
-    position = {v: i for i, v in enumerate(scope)}
-    joint = np.ones(tuple(cards))
+    joint = np.ones(cards)
     for v in scope:
         if v in do:
-            column = np.zeros(cards[position[v]])
-            column[net.state_index(v, do[v])] = 1.0
-            term = fa.Factor((v,), column)
+            term = fa.Factor((v,), np.eye(len(net.domain(v)))[net.state_index(v, do[v])])
         else:
             term = fa.from_cpt(net, v)
-        axes: list[object] = [None] * len(scope)
-        for u in term.scope:
-            axes[position[u]] = slice(None)
-        order = sorted(range(len(term.scope)), key=lambda i: position[term.scope[i]])
-        joint = joint * term.values.transpose(order)[tuple(axes)]
-    return JointTable(scope, joint)
+        joint = joint * term.values[tuple(slice(None) if u in term.scope else None for u in scope)]
+    return fa.Factor(scope, joint)
 
 
-def _slicer(table: JointTable, net: Network, bound: Assignment) -> tuple:
+def _slicer(table: fa.Factor, net: Network, bound: Assignment) -> tuple:
     return tuple(
         net.state_index(v, bound[v]) if v in bound else slice(None) for v in table.scope
     )
 
 
 def oracle_query(
-    table: JointTable, net: Network, event: Assignment, given: Assignment | None = None
+    table: fa.Factor, net: Network, event: Assignment, given: Assignment | None = None
 ) -> float:
     """p(event | given) by masked summation over the joint table.
 
@@ -104,17 +97,22 @@ def oracle_query(
 class OracleEngine:
     """Enumeration-backed engine with the same query contract as ExactEngine.
 
-    Joint tables are cached per (network, intervention set), so repeated
-    queries against the same post-intervention distribution stay cheap. The
-    cache is keyed by network identity and holds the network, so its id cannot
-    be reused while the entry lives.
+    A query slices the observed states out of the joint table of
+    :func:`enumerate_joint` and sums the non-target axes; the table's
+    declaration order is already the answer's axis order. Joint tables are
+    cached per (network, intervention set), so repeated queries against the
+    same post-intervention distribution stay cheap. The cache is this engine's
+    own, keyed by network identity, and holds the network, so its id cannot be
+    reused while the entry lives. The ``calls`` counter is incremented under a
+    lock.
     """
 
     def __init__(self) -> None:
         self.calls = 0
-        self._tables: dict[tuple[int, tuple], tuple[Network, JointTable]] = {}
+        self._lock = threading.Lock()
+        self._tables: dict[tuple[int, tuple], tuple[Network, fa.Factor]] = {}
 
-    def _table(self, net: Network, do: dict[str, str]) -> JointTable:
+    def _table(self, net: Network, do: dict[str, str]) -> fa.Factor:
         key = (id(net), tuple(do.items()))  # validated, so in declaration order
         if key not in self._tables:
             self._tables[key] = (net, enumerate_joint(net, do))
@@ -127,16 +125,14 @@ class OracleEngine:
         observed: Assignment | None = None,
         do: Assignment | None = None,
     ) -> QueryResult:
-        self.calls += 1
+        with self._lock:
+            self.calls += 1
         observed, do = _query_args(net, targets, observed, do)
         table = self._table(net, do)
-        block = table.values[_slicer(table, net, observed)]
         kept = [v for v in table.scope if v not in observed]
         drop = tuple(i for i, v in enumerate(kept) if v not in targets)
-        remaining = [v for v in kept if v in targets]
-        order = sorted(range(len(remaining)), key=lambda i: net.index(remaining[i]))
-        joint = block.sum(axis=drop).transpose(order)
-        return _result(fa.Factor(tuple(remaining[i] for i in order), joint), targets)
+        joint = table.values[_slicer(table, net, observed)].sum(axis=drop)
+        return _result(fa.Factor(tuple(v for v in kept if v in targets), joint), targets)
 
     def probability(
         self,

@@ -22,7 +22,16 @@ def academe():
 
 
 def _draw_network(rng: np.random.Generator, n_vars: int, max_parents: int,
-                  name: str, max_states: int = 2) -> Network:
+                  name: str, max_states: int = 2, zero_one: bool = False,
+                  shuffled: bool = False) -> Network:
+    """Random DAG whose edges point from lower to higher variable numbers.
+
+    With ``zero_one``, each CPT row is, with probability one half, replaced by
+    an exact one-hot row on a random state. With ``shuffled``, the variables
+    are declared in a random order, so the declaration order is in general not
+    topological. Both options draw extra numbers only when set, so with both
+    off the generator draws exactly the numbers it always has.
+    """
     cards = [2 if max_states == 2 else int(rng.integers(2, max_states + 1))
              for _ in range(n_vars)]
     variables = [Variable(f"V{i}", tuple(f"s{k}" for k in range(cards[i])))
@@ -42,7 +51,12 @@ def _draw_network(rng: np.random.Generator, n_vars: int, max_parents: int,
             else:
                 raw = rng.uniform(0.05, 0.95, size=cards[i])
                 rows.append(tuple(float(p) for p in raw / raw.sum()))
+            if zero_one and rng.random() < 0.5:
+                hot = int(rng.integers(cards[i]))
+                rows[-1] = tuple(float(k == hot) for k in range(cards[i]))
         cpts[f"V{i}"] = Cpt(f"V{i}", parents, tuple(rows))
+    if shuffled:
+        variables = [variables[int(j)] for j in rng.permutation(n_vars)]
     return Network(variables, cpts, name=name)
 
 

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnexplain import (
     CheckedEngine,
@@ -394,3 +396,40 @@ def test_ladder_probabilities_build_no_factor_wider_than_three(monkeypatch):
     ]:
         assert 0.0 < eng.probability(net, event, observed, do) < 1.0
     assert 2 <= widest["n"] <= 3
+
+
+def _min_scan_rank(net):
+    """Min-degree order of the moral graph by an O(n^2) rescan, declaration order breaking ties."""
+    scopes = [set(cpt.parents) | {child} for child, cpt in net.cpts.items()]
+    nbrs = {v.name: set().union(*(s for s in scopes if v.name in s)) for v in net.variables}
+    rank = {}
+    while nbrs:
+        var = min(nbrs, key=lambda u: (len(nbrs[u]), net.index(u)))
+        joined = nbrs.pop(var)
+        for u in joined - {var}:
+            nbrs[u] = (nbrs[u] | joined) - {var}
+        rank[var] = len(rank)
+    return rank
+
+
+def _compiled_rank(net):
+    from bnexplain.inference import _cpt_factors
+
+    _cpt_factors(net)
+    return net._elimination_rank
+
+
+def test_compiled_order_is_the_min_scan_order_on_ladder_and_chain(chain_factory):
+    for net in (_ladder(24), chain_factory(np.random.default_rng(0), 300)):
+        assert _compiled_rank(net) == _min_scan_rank(net)
+
+
+@settings(derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_vars=st.integers(1, 30),
+       max_parents=st.integers(0, 5), shuffled=st.booleans())
+def test_compiled_order_is_the_min_scan_order_on_drawn_networks(seed, n_vars, max_parents, shuffled):
+    from conftest import _draw_network
+
+    net = _draw_network(np.random.default_rng(seed), n_vars, max_parents, "drawn",
+                        max_states=3, shuffled=shuffled)
+    assert _compiled_rank(net) == _min_scan_rank(net)

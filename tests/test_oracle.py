@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -56,18 +58,25 @@ def test_oracle_query_basics(drug):
     assert oracle_query(forced, drug, {"Recovery": "rec"}) == pytest.approx(0.4, abs=1e-12)
 
 
+def _reversed(net):
+    from bnexplain import Network
+
+    return Network(tuple(reversed(net.variables)), net.cpts, name=f"{net.name}-reversed")
+
+
 def test_oracle_engine_agrees_with_exact_engine(asia):
     exact, oracle = ExactEngine(), OracleEngine()
-    for targets, observed, do in [
+    for net, (targets, observed, do) in itertools.product((asia, _reversed(asia)), [
         (("LungCancer",), {"Dyspnea": "yes"}, None),
         (("Bronchitis", "Tuberculosis"), {"X-ray": "abnormal"}, None),
         (("Dyspnea",), {"Smoker": "yes"}, {"Bronchitis": "no"}),
-    ]:
-        a = exact.query(asia, targets, observed, do)
-        b = oracle.query(asia, targets, observed, do)
+        (("Tuberculosis", "Smoker"), {"Dyspnea": "yes"}, {"VisitAsia": "yes"}),
+    ]):
+        a = exact.query(net, targets, observed, do)
+        b = oracle.query(net, targets, observed, do)
         assert a.distribution.scope == b.distribution.scope
-        assert np.allclose(a.distribution.values, b.distribution.values, atol=1e-9)
-        assert a.evidence_probability == pytest.approx(b.evidence_probability, abs=1e-9)
+        assert np.allclose(a.distribution.values, b.distribution.values, rtol=0.0, atol=1e-12)
+        assert a.evidence_probability == pytest.approx(b.evidence_probability, rel=0.0, abs=1e-12)
 
 
 def test_checked_engine_passes_on_agreement(drug):
@@ -105,3 +114,45 @@ def test_checked_queries_never_compare_networks(asia, monkeypatch):
         eng.probability(asia, {"Dyspnea": "yes"}, {"Smoker": "yes"})
         eng.query(asia, ("Dyspnea",), {"Smoker": "yes"}, {"Bronchitis": "no"})
     assert compared["n"] == 0
+
+
+def test_joint_of_reverse_declared_network_is_a_declaration_ordered_factor(asia):
+    import bnexplain
+    from bnexplain import joint_probability
+
+    assert bnexplain.JointTable is bnexplain.Factor
+    net = _reversed(asia)
+    table = enumerate_joint(net)
+    assert table.scope == tuple(v.name for v in net.variables)
+    assert table.scope != topological_order(net)
+    for states in itertools.product(*(net.domain(v) for v in table.scope)):
+        full = dict(zip(table.scope, states))
+        coords = tuple(net.state_index(v, s) for v, s in full.items())
+        assert float(table.values[coords]) == pytest.approx(joint_probability(net, full),
+                                                            rel=1e-15, abs=0.0)
+
+
+def test_engine_counters_count_every_concurrent_query(asia):
+    import sys
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    engines = (ExactEngine(), OracleEngine(), CheckedEngine())
+    start = threading.Barrier(4)
+
+    def work():
+        start.wait()
+        for _ in range(250):
+            for eng in engines:
+                eng.query(asia, ("LungCancer",), {"Dyspnea": "yes"})
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for future in [pool.submit(work) for _ in range(4)]:
+                future.result(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert [eng.calls for eng in engines] == [1000, 1000, 1000]
+    assert engines[2].reference.calls == 1000
