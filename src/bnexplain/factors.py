@@ -8,10 +8,12 @@ broadcast (no transposes) and makes all results bit-deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .network import Network
+if TYPE_CHECKING:  # network.py builds its factors with from_cpt, so it imports this module
+    from .network import Network
 
 
 @dataclass(frozen=True, eq=False)

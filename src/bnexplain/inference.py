@@ -2,16 +2,15 @@
 
 The central object is :class:`ExactEngine`, whose :meth:`ExactEngine.query`
 answers one conditional (optionally post-intervention) distribution query per
-call from the CPT factors and the elimination order compiled once per network,
-eliminating only the variables the answer depends on. The module-level
-functions wrap a throwaway engine for one-off use; explainers accept an engine
-so call counts and cross-checking behave consistently across a whole tree
-construction.
+call from the CPT factors and the elimination order that each network compiles
+at construction, eliminating only the variables the answer depends on. The
+module-level functions wrap a throwaway engine for one-off use; explainers
+accept an engine so call counts and cross-checking behave consistently across
+a whole tree construction.
 """
 
 from __future__ import annotations
 
-import heapq
 import threading
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -23,45 +22,6 @@ from .errors import ImpossibleEvidenceError
 from .network import Network, check_assignment, merge_assignments
 
 Assignment = Mapping[str, str]
-
-
-def _cpt_factors(net: Network) -> dict[str, fa.Factor]:
-    """CPT factors of the immutable ``net``, built on first use and cached read-only on it.
-
-    The same step compiles ``net._elimination_rank``, the position of each
-    variable in one min-degree elimination order of the moral graph,
-    declaration order breaking ties. The neighbour sets are built in one pass
-    over the factor scopes and each next variable is popped from a heap of
-    (degree, declaration index) with stale entries skipped, so compiling a
-    sparse network is near-linear in its size. The order is published before
-    the factors, so a thread that sees the factors also sees the order.
-    Concurrent first uses build identical factors and orders and publish them
-    in one store each.
-    """
-    cached = getattr(net, "_cpt_factors", None)
-    if cached is None:
-        cached = {v.name: fa.from_cpt(net, v.name) for v in net.variables}
-        for f in cached.values():
-            f.values.flags.writeable = False
-        nbrs: dict[str, set[str]] = {v: set() for v in cached}
-        for f in cached.values():
-            for v in f.scope:
-                nbrs[v].update(f.scope)
-        heap = [(len(nbrs[v]), net.index(v), v) for v in nbrs]
-        heapq.heapify(heap)
-        rank: dict[str, int] = {}
-        while heap:
-            degree, _, var = heapq.heappop(heap)
-            if var in rank or degree != len(nbrs[var]):
-                continue  # stale: eliminated, or its degree changed since the push
-            joined = nbrs.pop(var)
-            for u in joined - {var}:
-                nbrs[u] = (nbrs[u] | joined) - {var}
-                heapq.heappush(heap, (len(nbrs[u]), net.index(u), u))
-            rank[var] = len(rank)
-        net._elimination_rank = rank
-        net._cpt_factors = cached
-    return cached
 
 
 def _reduce(f: fa.Factor, evidence: Assignment, net: Network) -> fa.Factor:
@@ -128,11 +88,11 @@ def _probability(
 ) -> float:
     """``engine.probability``: the ratio of two evidence masses of ``engine``.
 
-    The numerator's cells are a subset of the denominator's, so it is capped
-    there against rounding.
+    Both queries validate their bindings, so they are not checked here. The
+    numerator's cells are a subset of the denominator's, so it is capped there
+    against rounding.
     """
-    event = check_assignment(net, event)
-    observed = check_assignment(net, observed) if observed else {}
+    observed = observed or {}
     for var in do or {}:
         if var in event or var in observed:
             raise ValueError(f"variable {var!r} is both intervened and conditioned on")
@@ -145,18 +105,20 @@ def _probability(
 
 
 class ExactEngine:
-    """Sum-product variable elimination over the network's compiled CPT factors.
+    """Sum-product variable elimination over the network's CPT factors.
 
-    An intervention is factor surgery: the variable's factor becomes one-hot on
-    the forced state, without parent axes. Only targets, observed variables and
-    their ancestors after surgery take part; all others are barren and sum to
-    one. They are eliminated in the network's compiled order (min-degree on the
-    whole moral graph, declaration order breaking ties) restricted to the
-    pruned set. Eliminating every variable of a subgraph in the restriction of
-    an order builds no factor wider than that order builds on the whole graph,
-    which bounds every query without targets. The ``calls`` counter increments
-    once per query, under a lock so that concurrent queries count exactly, and
-    exists purely as a diagnostic; results are pure functions of the arguments.
+    The factors and the elimination order are compiled by the network at
+    construction; a query only reads them. An intervention is factor surgery:
+    the variable's factor becomes one-hot on the forced state, without parent
+    axes. Only targets, observed variables and their ancestors after surgery
+    take part; all others are barren and sum to one. They are eliminated in
+    the network's order (min-degree on the whole moral graph, declaration
+    order breaking ties) restricted to the pruned set. Eliminating every
+    variable of a subgraph in the restriction of an order builds no factor
+    wider than that order builds on the whole graph, which bounds every query
+    without targets. The ``calls`` counter increments once per query, under a
+    lock so that concurrent queries count exactly, and exists purely as a
+    diagnostic; results are pure functions of the arguments.
     """
 
     def __init__(self) -> None:
@@ -182,7 +144,7 @@ class ExactEngine:
         with self._lock:
             self.calls += 1
         observed, do = _query_args(net, targets, observed, do)
-        factors = dict(_cpt_factors(net))
+        factors = dict(net._factors)
         for v, s in do.items():  # surgery: one-hot on the forced state, no parent axes
             factors[v] = fa.Factor((v,), np.eye(len(net.domain(v)))[net.state_index(v, s)])
 
@@ -234,7 +196,7 @@ def joint_probability(net: Network, full: Assignment) -> float:
     if missing:
         raise ValueError(f"assignment leaves variables unbound: {', '.join(missing)}")
     p = 1.0
-    for f in _cpt_factors(net).values():
+    for f in net._factors.values():
         coords = tuple(net.state_index(u, full[u]) for u in f.scope)
         p *= float(f.values[coords])
     return p
@@ -307,7 +269,7 @@ def mpe(
     if not free:
         return {}, 1.0
 
-    work = [_reduce(f, evidence, net) for f in _cpt_factors(net).values()]
+    work = [_reduce(f, evidence, net) for f in net._factors.values()]
 
     traceback: dict[str, tuple[tuple[str, ...], np.ndarray]] = {}
     for var in reversed(free):

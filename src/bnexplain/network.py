@@ -3,7 +3,9 @@
 A :class:`Network` is an immutable DAG of discrete variables, each carrying a
 conditional probability table (CPT) given its graph parents. All invariants
 (shapes, row sums, acyclicity) are checked at construction time, so query code
-downstream can rely on them without re-validating.
+downstream can rely on them without re-validating. Construction also compiles
+the network once for inference: its read-only CPT factors and its elimination
+order are built there and never change afterwards.
 
 Variable declaration order is significant: it is preserved verbatim and used
 as the deterministic tie-breaker by every argmax in the package.
@@ -11,10 +13,12 @@ as the deterministic tie-breaker by every argmax in the package.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from . import factors as fa
 from .errors import NetworkValidationError
 
 ROW_SUM_TOLERANCE = 1e-9
@@ -54,6 +58,11 @@ def _check_label(kind: str, label: object) -> str:
 
 class Network:
     """Validated, immutable causal Bayesian network.
+
+    After validation, construction compiles the network for inference: each
+    variable's CPT as a read-only factor (``_factors``) and the position of
+    each variable in one min-degree elimination order (``_elimination_rank``).
+    Nothing sets an attribute after ``__init__`` returns.
 
     Args:
         variables: variables in declaration order.
@@ -105,6 +114,11 @@ class Network:
 
         self._topological = self._toposort()
 
+        self._factors: dict[str, fa.Factor] = {v.name: fa.from_cpt(self, v.name) for v in self.variables}
+        for f in self._factors.values():
+            f.values.flags.writeable = False
+        self._elimination_rank = self._min_degree_rank()
+
     def _check_cpt(self, cpt: Cpt) -> Cpt:
         var = cpt.child
         seen_parents = set()
@@ -135,21 +149,49 @@ class Network:
         return cpt
 
     def _toposort(self) -> tuple[str, ...]:
+        """Kahn's algorithm, always placing the earliest-declared ready variable."""
+        waiting = {v: len(ps) for v, ps in self._parents.items()}
+        ready = [self._index[v] for v, n in waiting.items() if not n]  # ascending: a heap
         placed: list[str] = []
-        done: set[str] = set()
-        pending = [v.name for v in self.variables]
-        while pending:
-            for name in pending:
-                if all(p in done for p in self._parents[name]):
-                    placed.append(name)
-                    done.add(name)
-                    pending.remove(name)
-                    break
-            else:
-                raise NetworkValidationError(
-                    "cycle detected among variables: " + ", ".join(sorted(pending))
-                )
+        while ready:
+            name = self.variables[heapq.heappop(ready)].name
+            placed.append(name)
+            for child in self._children[name]:
+                waiting[child] -= 1
+                if not waiting[child]:
+                    heapq.heappush(ready, self._index[child])
+        if len(placed) < len(self.variables):
+            raise NetworkValidationError(
+                "cycle detected among variables: " + ", ".join(sorted(set(self._index) - set(placed)))
+            )
         return tuple(placed)
+
+    def _min_degree_rank(self) -> dict[str, int]:
+        """Position of each variable in one min-degree elimination order of the moral graph.
+
+        Declaration order breaks ties. The neighbour sets are built in one
+        pass over the factor scopes and each next variable is popped from a
+        heap of (degree, declaration index) with stale entries skipped, so the
+        order of a sparse network is near-linear in its size.
+        """
+        nbrs: dict[str, set[str]] = {v: set() for v in self._factors}
+        for f in self._factors.values():
+            for v in f.scope:
+                nbrs[v].update(f.scope)
+        heap = [(len(nbrs[v]), self._index[v], v) for v in nbrs]
+        heapq.heapify(heap)
+        rank: dict[str, int] = {}
+        while heap:
+            degree, _, var = heapq.heappop(heap)
+            if var in rank or degree != len(nbrs[var]):
+                continue  # stale: eliminated, or its degree changed since the push
+            joined = nbrs.pop(var)
+            for u in joined - {var}:
+                nbrs[u] |= joined
+                nbrs[u].discard(var)
+                heapq.heappush(heap, (len(nbrs[u]), self._index[u], u))
+            rank[var] = len(rank)
+        return rank
 
     # -- read-only structure --------------------------------------------------
 

@@ -4,8 +4,9 @@ Everything here recomputes probabilistic and information-theoretic quantities
 from an explicitly materialized joint table, so it can serve as an independent
 check of the query engine at desk scale. The table is a
 :class:`~bnexplain.factors.Factor` over every variable with axes in declaration
-order, the one layout of every table in the package. The oracle builds it from
-its own CPT terms and shares no factor elimination, surgery or cache with
+order, the one layout of every table in the package. The oracle multiplies the
+CPT factors each network compiles at construction, with its own intervention
+surgery; it shares no elimination or cache with
 :class:`~bnexplain.inference.ExactEngine`. It ships with the package (not only
 the tests) and backs the CLI's ``--oracle-check`` flag through
 :class:`CheckedEngine`.
@@ -42,9 +43,9 @@ def enumerate_joint(
     variable in declaration order, one axis each, like every other table in
     the package. Each cell is the product, taken in declaration order, of the
     CPT entries of non-intervened variables, zeroed wherever an intervened
-    variable deviates from its forced value. The terms are built here from
-    :func:`~bnexplain.factors.from_cpt` and broadcast directly; nothing is
-    shared with the engine's compiled factors, elimination or surgery.
+    variable deviates from its forced value. The terms are the network's CPT
+    factors, compiled at construction, and one-hot rows on the forced states,
+    broadcast directly; no elimination, engine surgery or engine cache is used.
 
     Raises:
         StateSpaceError: the table would exceed ``cap`` cells.
@@ -61,7 +62,7 @@ def enumerate_joint(
         if v in do:
             term = fa.Factor((v,), np.eye(len(net.domain(v)))[net.state_index(v, do[v])])
         else:
-            term = fa.from_cpt(net, v)
+            term = net._factors[v]
         joint = joint * term.values[tuple(slice(None) if u in term.scope else None for u in scope)]
     return fa.Factor(scope, joint)
 

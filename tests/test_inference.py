@@ -305,10 +305,8 @@ def test_query_cost_near_the_root_does_not_grow_with_chain_length(chain_factory,
 
 
 def test_cached_factors_are_read_only(drug):
-    from bnexplain.inference import _cpt_factors
-
     ExactEngine().query(drug, ("Recovery",))
-    for f in _cpt_factors(drug).values():
+    for f in drug._factors.values():
         with pytest.raises(ValueError, match="read-only"):
             f.values[(0,) * f.values.ndim] = 0.5
     assert event_probability(drug, {"Recovery": "rec"}) == pytest.approx(0.45, abs=1e-12)
@@ -339,7 +337,7 @@ def test_cold_cache_filled_by_four_threads_matches_serial_results():
 
     serial_net = fresh()
     serial = run_all(serial_net)
-    net = fresh()  # cold cache, filled by whichever thread gets there first
+    net = fresh()  # compiled at construction; four threads share it from their first query
     start = threading.Barrier(4)
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -413,9 +411,6 @@ def _min_scan_rank(net):
 
 
 def _compiled_rank(net):
-    from bnexplain.inference import _cpt_factors
-
-    _cpt_factors(net)
     return net._elimination_rank
 
 

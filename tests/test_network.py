@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnexplain import (
     Cpt,
@@ -56,6 +58,37 @@ def test_cycle_detected():
     """
     with pytest.raises(NetworkValidationError, match="cycle"):
         parse_network(text)
+
+
+def test_cycle_message_names_every_unplaced_variable_sorted():
+    variables = [Variable(n, ("t", "f")) for n in ("D", "C", "B", "A")]
+    half = ((0.5, 0.5), (0.5, 0.5))
+    cpts = {"D": Cpt("D", (), ((0.5, 0.5),)), "C": Cpt("C", ("A",), half),
+            "B": Cpt("B", ("A",), half), "A": Cpt("A", ("B",), half)}
+    with pytest.raises(NetworkValidationError) as raised:
+        Network(variables, cpts)
+    assert str(raised.value) == "cycle detected among variables: A, B, C"
+
+
+def _rescan_order(net):
+    """Parents-before-children order by an O(n^2) rescan: always the first
+    declared variable whose parents are all placed."""
+    placed, pending = [], [v.name for v in net.variables]
+    while pending:
+        name = next(v for v in pending if set(net.parents(v)) <= set(placed))
+        placed.append(name)
+        pending.remove(name)
+    return tuple(placed)
+
+
+@settings(derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_vars=st.integers(1, 30), max_parents=st.integers(0, 5))
+def test_topological_order_is_the_rescan_order_on_shuffled_networks(seed, n_vars, max_parents):
+    from conftest import _draw_network
+
+    net = _draw_network(np.random.default_rng(seed), n_vars, max_parents, "drawn",
+                        max_states=3, shuffled=True)
+    assert topological_order(net) == _rescan_order(net)
 
 
 def test_cycle_detected_when_drug_gains_back_edge():
@@ -187,3 +220,43 @@ def test_mutilate_never_mutates_input(drug):
     before = serialize_network(drug)
     mutilate(drug, {"Drug": "yes"})
     assert serialize_network(drug) == before
+
+
+def test_no_operation_sets_an_attribute_on_a_network():
+    from conftest import _draw_network
+
+    from bnexplain import (
+        CheckedEngine,
+        bayes_factor_search,
+        causal_explanation_tree,
+        datasets,
+        enumerate_joint,
+        explanation_tree,
+        joint_probability,
+        mpe,
+        mpe_explanation,
+    )
+
+    nets = [datasets.asia(), datasets.academe(),
+            _draw_network(np.random.default_rng(11), 7, 3, "drawn", max_states=3)]
+    snapshots = [dict(vars(net)) for net in nets]
+    for net in nets:
+        order = topological_order(net)
+        e = {order[-1]: net.domain(order[-1])[0]}
+        observed = {order[-2]: net.domain(order[-2])[1]}
+        hyp = order[:3]
+        eng = CheckedEngine()
+        causal_explanation_tree(net, hyp, observed, e, engine=eng)
+        explanation_tree(net, hyp, e, engine=eng)
+        mpe_explanation(net, e, engine=eng)
+        bayes_factor_search(net, hyp, e, engine=eng)
+        completion, _ = mpe(net, e, engine=eng)
+        joint_probability(net, {**completion, **e})
+        eng.query(net, (order[0],), e, {order[1]: net.domain(order[1])[0]})
+        eng.probability(net, e, observed)
+        enumerate_joint(net)
+        enumerate_joint(net, {order[0]: net.domain(order[0])[1]})
+    for net, before in zip(nets, snapshots):
+        after = vars(net)
+        assert list(after) == list(before)
+        assert all(after[k] is v for k, v in before.items())

@@ -41,6 +41,34 @@ def test_enumerate_joint_asia_normalization(asia):
     assert float(table.values.sum()) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_enumerate_joint_multiplies_the_compiled_factors(drug, asia, academe, monkeypatch):
+    # bit for bit the product of fresh from_cpt terms in declaration order,
+    # without building a single one
+    import bnexplain.factors as fa
+
+    rng = np.random.default_rng(3)
+    nets = [drug, asia, academe] + [make_random_network(rng, 5, max_states=3) for _ in range(20)]
+    cases = [(net, do) for net in nets
+             for do in ({}, {net.variables[1].name: net.domain(net.variables[1].name)[1]})]
+    want = []
+    for net, do in cases:
+        scope = tuple(v.name for v in net.variables)
+        joint = np.ones(tuple(len(net.domain(v)) for v in scope))
+        for v in scope:
+            term = (fa.Factor((v,), np.eye(len(net.domain(v)))[net.state_index(v, do[v])])
+                    if v in do else fa.from_cpt(net, v))
+            joint = joint * term.values[tuple(slice(None) if u in term.scope else None
+                                              for u in scope)]
+        want.append(joint)
+
+    def refuse(net, var):
+        raise AssertionError("enumerate_joint built a CPT factor")
+
+    monkeypatch.setattr(fa, "from_cpt", refuse)
+    for (net, do), joint in zip(cases, want):
+        assert np.array_equal(enumerate_joint(net, do).values, joint)
+
+
 def test_state_space_cap():
     rng = np.random.default_rng(5)
     net = make_random_network(rng, 6)

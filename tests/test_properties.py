@@ -1,9 +1,11 @@
-"""Property tests: the engine and the causal measures against the enumeration oracle.
+"""Property tests: the engine, the causal measures and causal explanation
+trees against the enumeration oracle.
 
 Networks are drawn by ``conftest._draw_network`` with 2-8 variables of up to
-3 states, optionally with exact one-hot CPT rows and optionally declared in a
-non-topological order. Every pair of computations must agree within 1e-9, or
-both raise the same exception type, or both return ``-inf``.
+3 states, optionally (always, for the trees) with exact one-hot CPT rows and
+optionally declared in a non-topological order. Every pair of computations
+must agree within 1e-9, or both raise the same exception type, or both return
+``-inf``.
 """
 
 import math
@@ -14,11 +16,14 @@ from hypothesis import strategies as st
 
 from bnexplain import (
     ExactEngine,
+    ImpossibleEvidenceError,
     OracleEngine,
+    causal_explanation_tree,
     flow_to_state,
     information_flow,
     oracle_flow_to_state,
     oracle_information_flow,
+    oracle_interventional_probability,
     oracle_pointwise_flow,
     pointwise_flow,
 )
@@ -29,14 +34,14 @@ _TOLERANCE = 1e-9
 
 
 @st.composite
-def networks(draw):
+def networks(draw, zero_one=st.booleans()):
     return _draw_network(
         np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
         draw(st.integers(2, 8)),
         max_parents=3,
         name="drawn",
         max_states=3,
-        zero_one=draw(st.booleans()),
+        zero_one=draw(zero_one),
         shuffled=draw(st.booleans()),
     )
 
@@ -117,3 +122,46 @@ def test_flows_match_oracle_flows(case, data):
     )
     _assert_close(_outcome(lambda: information_flow(net, source, other, do, observed)),
                   _outcome(lambda: oracle_information_flow(net, source, other, do, observed)))
+
+
+@st.composite
+def cet_cases(draw):
+    """A network with one-hot rows, an explanandum, 1-3 hypothesis variables
+    and observations of other variables, optionally of one hypothesis variable."""
+    net = draw(networks(zero_one=st.just(True)))
+    names = draw(st.permutations([v.name for v in net.variables]))
+    n_hyp = draw(st.integers(1, min(3, len(names) - 1)))
+    hyp, rest = names[1:1 + n_hyp], names[1 + n_hyp:]
+    explanandum = {names[0]: draw(st.sampled_from(net.domain(names[0])))}
+    watched = [v for v in rest if draw(st.booleans())] + [hyp[0]] * draw(st.booleans())
+    observed = {v: draw(st.sampled_from(net.domain(v))) for v in watched}
+    return net, hyp, observed, explanandum
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=cet_cases())
+def test_cet_labels_and_pruned_branches_match_oracle(case):
+    net, hyp, observed, e = case
+    prior = _outcome(lambda: oracle_interventional_probability(net, e, observed))
+    tree = _outcome(lambda: causal_explanation_tree(net, hyp, observed, e))
+    if prior is ImpossibleEvidenceError or prior == 0.0:
+        assert tree is ImpossibleEvidenceError
+        return
+
+    def check(node, path, o):
+        if node.is_leaf():
+            return
+        o_rest = {k: v for k, v in o.items() if k != node.variable}
+        for branch in node.branches:
+            forced = {**path, node.variable: branch.state}
+            p = _outcome(lambda: oracle_interventional_probability(net, e, o_rest, forced))
+            assert branch.pruned == (p is ImpossibleEvidenceError), (forced, p)
+            if branch.pruned:
+                assert branch.label is None
+            else:
+                assert (branch.label == -math.inf) == (p == 0.0), (forced, branch.label, p)
+                if p > 0.0:
+                    assert abs(branch.label - math.log2(p / prior)) <= _TOLERANCE
+            check(branch.subtree, forced, o_rest)
+
+    check(tree, {}, observed)
