@@ -1,22 +1,20 @@
 """Interventional queries and causal information-flow measures.
 
-Interventions are surgery on the engine's factors: a forced variable's CPT
-factor becomes a point mass on the forced state without parent axes, then
-observations condition the altered distribution. The flow measures below
-quantify, in bits, how much forcing a variable changes a target distribution
-or a single target state.
+An intervention drops the forced variable's CPT and binds the variable to
+the forced state (truncated factorization), then observations condition the
+altered distribution. The flow measures below quantify, in bits, how much
+forcing a variable changes a target distribution or a single target state.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import partial
 from typing import Mapping
 
 from .errors import ImpossibleEvidenceError
-from .inference import ExactEngine, _engine
-from .network import Network, check_assignment
+from .inference import ExactEngine, _check_roles, _engine
+from .network import Network
 
 Assignment = Mapping[str, str]
 
@@ -55,15 +53,6 @@ def _pointwise(eng, net, source, state, e, o, d, terms) -> float:
     i = net.state_index(source, state)
     numer = p_e_forced[i] if i in p_e_forced else eng.probability(net, e, o, {**d, source: state})
     return math.log2(numer / mixture) if numer > 0.0 else float("-inf")
-
-
-def _check_roles(net: Network, **roles: Assignment | None) -> dict[str, dict[str, str]]:
-    out = {name: check_assignment(net, a or {}) for name, a in roles.items()}
-    for a, b in itertools.combinations(out, 2):
-        shared = set(out[a]) & set(out[b])
-        if shared:
-            raise ValueError(f"variables bound in both {a} and {b}: {', '.join(sorted(shared))}")
-    return out
 
 
 def _flow_roles(net, source, explanandum, observed, do) -> tuple[dict[str, str], ...]:

@@ -11,6 +11,7 @@ a whole tree construction.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -56,16 +57,25 @@ class QueryResult:
 # -- the query contract shared by ExactEngine and OracleEngine ------------------------
 
 
+def _check_roles(net: Network, **roles: Assignment | None) -> dict[str, dict[str, str]]:
+    """Each role's bindings validated, in declaration order; no variable is in two roles."""
+    out = {name: check_assignment(net, a) if a else {} for name, a in roles.items()}
+    for a, b in itertools.combinations(out, 2):
+        shared = set(out[a]) & set(out[b])
+        if shared:
+            raise ValueError(f"variables bound in both {a} and {b}: {', '.join(sorted(shared))}")
+    return out
+
+
 def _query_args(
     net: Network, targets: Sequence[str], observed: Assignment | None, do: Assignment | None
 ) -> tuple[dict[str, str], dict[str, str]]:
-    """Validated (observed, do) of a query; targets must be known and unobserved."""
-    observed = check_assignment(net, observed) if observed else {}
-    do = check_assignment(net, do) if do else {}
+    """Validated (observed, do) of a query; targets, observed and do are pairwise disjoint."""
+    observed, do = _check_roles(net, observed=observed, do=do).values()
     for t in targets:
         net.index(t)
-        if t in observed:
-            raise ValueError(f"query target {t!r} is already observed")
+        if t in observed or t in do:
+            raise ValueError(f"query target {t!r} is already bound")
     return observed, do
 
 
@@ -88,19 +98,15 @@ def _probability(
 ) -> float:
     """``engine.probability``: the ratio of two evidence masses of ``engine``.
 
-    Both queries validate their bindings, so they are not checked here. The
-    numerator's cells are a subset of the denominator's, so it is capped there
-    against rounding.
+    Both queries validate their bindings and roles, so they are not checked
+    here; the numerator is asked first, so that an event bound in ``do`` is
+    rejected before impossible observations are. The numerator's cells are a
+    subset of the denominator's, so it is capped there against rounding.
     """
-    observed = observed or {}
-    for var in do or {}:
-        if var in event or var in observed:
-            raise ValueError(f"variable {var!r} is both intervened and conditioned on")
-    joint = merge_assignments(event, observed)
+    numer = engine.query(net, (), merge_assignments(event, observed or {}), do).evidence_probability
     denom = engine.query(net, (), observed, do).evidence_probability if observed else 1.0
     if denom <= 0.0:
         raise ImpossibleEvidenceError("conditioning event has probability zero")
-    numer = engine.query(net, (), joint, do).evidence_probability
     return min(numer, denom) / denom
 
 
@@ -108,17 +114,19 @@ class ExactEngine:
     """Sum-product variable elimination over the network's CPT factors.
 
     The factors and the elimination order are compiled by the network at
-    construction; a query only reads them. An intervention is factor surgery:
-    the variable's factor becomes one-hot on the forced state, without parent
-    axes. Only targets, observed variables and their ancestors after surgery
-    take part; all others are barren and sum to one. They are eliminated in
-    the network's order (min-degree on the whole moral graph, declaration
-    order breaking ties) restricted to the pruned set. Eliminating every
-    variable of a subgraph in the restriction of an order builds no factor
-    wider than that order builds on the whole graph, which bounds every query
-    without targets. The ``calls`` counter increments once per query, under a
-    lock so that concurrent queries count exactly, and exists purely as a
-    diagnostic; results are pure functions of the arguments.
+    construction; a query only reads them. An intervention drops the CPT and
+    binds the variable (truncated factorization): the forced variable's own
+    factor leaves the query, and its children's factors are reduced to the
+    forced state, as observed variables' are. Only targets, observed variables
+    and their ancestors, up to the intervened variables, take part; all others
+    are barren and sum to one. They are eliminated in the network's order
+    (min-degree on the whole moral graph, declaration order breaking ties)
+    restricted to the pruned set. Eliminating every variable of a subgraph in
+    the restriction of an order builds no factor wider than that order builds
+    on the whole graph, which bounds every query without targets. The
+    ``calls`` counter increments once per query, under a lock so that
+    concurrent queries count exactly, and exists purely as a diagnostic;
+    results are pure functions of the arguments.
     """
 
     def __init__(self) -> None:
@@ -134,28 +142,28 @@ class ExactEngine:
     ) -> QueryResult:
         """Distribution over ``targets`` given observations, after interventions.
 
-        Interventions are applied first (graph surgery), then the observations
-        condition the post-intervention distribution, so observing an intervened
-        variable in another state has probability zero.
+        Each intervened variable's CPT is dropped and the variable is bound to
+        its forced state; the observations then condition the post-intervention
+        distribution. Targets, observed and intervened variables are pairwise
+        disjoint.
 
         Raises:
+            ValueError: a variable is in two of the three roles.
             ImpossibleEvidenceError: ``targets`` nonempty and p(observed) = 0.
         """
         with self._lock:
             self.calls += 1
         observed, do = _query_args(net, targets, observed, do)
-        factors = dict(net._factors)
-        for v, s in do.items():  # surgery: one-hot on the forced state, no parent axes
-            factors[v] = fa.Factor((v,), np.eye(len(net.domain(v)))[net.state_index(v, s)])
 
         relevant, stack = set(), [*targets, *observed]
-        while stack:  # ancestors after surgery; all other variables are barren
+        while stack:  # ancestors up to the intervened variables; all others are barren
             v = stack.pop()
-            if v not in relevant:
+            if v not in relevant and v not in do:
                 relevant.add(v)
-                stack.extend(factors[v].scope)
+                stack.extend(net._factors[v].scope)
 
-        work = [_reduce(factors[v], observed, net) for v in sorted(relevant, key=net.index)]
+        bound = {**observed, **do}
+        work = [_reduce(net._factors[v], bound, net) for v in sorted(relevant, key=net.index)]
 
         for var in sorted(relevant.difference(targets, observed), key=net._elimination_rank.get):
             work.append(fa.marginalize(_pop_product(work, var, net), var))

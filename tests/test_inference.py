@@ -10,6 +10,7 @@ from bnexplain import (
     ExactEngine,
     ImpossibleEvidenceError,
     OracleEngine,
+    causal_explanation_tree,
     conditional_mutual_information,
     event_probability,
     interventional_probability,
@@ -238,27 +239,6 @@ def test_pruned_engine_matches_oracle_on_do_observe_mixes(multistate_corpus):
             eng.probability(net, {t: _state(rng, net, t) for t in targets}, observed, do)
 
 
-def test_pruned_engine_intervened_target_is_a_point_mass(multistate_corpus):
-    for net in multistate_corpus:
-        first, last = net.variables[0].name, net.variables[-1].name
-        for observed in ({}, {first: net.domain(first)[0]}):
-            got = CheckedEngine().query(net, (last,), observed, {last: net.domain(last)[-1]})
-            assert got.distribution.values.tolist() == [0.0] * (len(net.domain(last)) - 1) + [1.0]
-
-
-def test_pruned_engine_do_observed_overlap(multistate_corpus):
-    for net in multistate_corpus:
-        x, t = net.variables[1].name, net.variables[-1].name
-        s, other = net.domain(x)[0], net.domain(x)[1]
-        got = CheckedEngine().query(net, (t,), {x: s}, {x: s})
-        want = ExactEngine().query(net, (t,), {}, {x: s})
-        np.testing.assert_allclose(got.distribution.values, want.distribution.values, atol=1e-12)
-        assert CheckedEngine().query(net, (), {x: other}, {x: s}).evidence_probability == 0.0
-        for engine in (ExactEngine(), OracleEngine()):
-            with pytest.raises(ImpossibleEvidenceError):
-                engine.query(net, (t,), {x: other}, {x: s})
-
-
 def test_pruned_engine_ignores_intervention_below_the_query(multistate_corpus):
     for net in multistate_corpus:
         root, leaf = net.variables[0].name, net.variables[-1].name
@@ -279,6 +259,44 @@ def test_pruned_engine_empty_query_is_the_unit_factor(multistate_corpus):
             assert got.evidence_probability == 1.0
             assert got.distribution.scope == ()
             assert float(got.distribution.values) == 1.0
+
+
+def test_no_factor_the_engine_multiplies_or_sums_holds_an_intervened_variable(
+        multistate_corpus, asia, monkeypatch):
+    # an intervention drops the variable's CPT and binds it in its children's
+    # factors, so no intervened variable is ever multiplied or eliminated
+    import bnexplain.factors as fa
+
+    forced, hits, spied = set(), [], {"calls": 0}
+
+    class Spied(ExactEngine):
+        def query(self, net, targets=(), observed=None, do=None):
+            forced.clear()
+            forced.update(do or {})
+            return super().query(net, targets, observed, do)
+
+    def spy(op):
+        def wrapped(*args):
+            spied["calls"] += bool(forced)
+            hits.extend(v for f in args if isinstance(f, fa.Factor) for v in f.scope if v in forced)
+            return op(*args)
+        return wrapped
+
+    monkeypatch.setattr(fa, "multiply", spy(fa.multiply))
+    monkeypatch.setattr(fa, "marginalize", spy(fa.marginalize))
+
+    for net in multistate_corpus:
+        eng = CheckedEngine(Spied())
+        names = [v.name for v in net.variables]
+        for v in names:
+            rest = [u for u in names if u != v]
+            for s in net.domain(v):
+                eng.query(net, (rest[-1],), {rest[0]: net.domain(rest[0])[0]}, {v: s})
+                eng.query(net, tuple(rest[-2:]), {}, {v: s})
+    causal_explanation_tree(asia, ["Smoker", "VisitAsia", "Tuberculosis", "LungCancer", "Bronchitis"],
+                            {"Smoker": "yes"}, {"Dyspnea": "yes"}, engine=Spied())
+    assert spied["calls"] > 0
+    assert hits == []
 
 
 def test_query_cost_near_the_root_does_not_grow_with_chain_length(chain_factory, monkeypatch):

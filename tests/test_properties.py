@@ -21,6 +21,7 @@ from bnexplain import (
     causal_explanation_tree,
     flow_to_state,
     information_flow,
+    mutilate,
     oracle_flow_to_state,
     oracle_information_flow,
     oracle_interventional_probability,
@@ -67,18 +68,7 @@ def _assert_close(got, want):
         assert abs(got - want) <= _TOLERANCE, (got, want)
 
 
-@settings(derandomize=True, deadline=None, max_examples=400)
-@given(net=networks(), data=st.data())
-def test_exact_engine_matches_oracle_engine(net, data):
-    names = [v.name for v in net.variables]
-    targets = tuple(data.draw(st.lists(st.sampled_from(names), unique=True, max_size=3)))
-    observed = _assignment(data, net, names)
-    do = _assignment(data, net, names, max_size=2)
-    event = _assignment(data, net, names)
-    exact, oracle = ExactEngine(), OracleEngine()
-
-    got = _outcome(lambda: exact.query(net, targets, observed, do))
-    want = _outcome(lambda: oracle.query(net, targets, observed, do))
+def _assert_same_query(got, want):
     if isinstance(want, type) or isinstance(got, type):
         assert got is want
     else:
@@ -87,8 +77,37 @@ def test_exact_engine_matches_oracle_engine(net, data):
         assert np.allclose(got.distribution.values, want.distribution.values,
                            rtol=0.0, atol=_TOLERANCE)
 
+
+def _without(bindings, *others):
+    return {v: s for v, s in bindings.items() if not any(v in o for o in others)}
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(net=networks(), data=st.data())
+def test_exact_engine_matches_oracle_engine(net, data):
+    """The drawn roles may overlap, which both engines must reject alike; a
+    disjoint copy of them is answered, also by the engine on the mutilated
+    network without ``do``."""
+    names = [v.name for v in net.variables]
+    targets = tuple(data.draw(st.lists(st.sampled_from(names), unique=True, max_size=3)))
+    observed = _assignment(data, net, names)
+    do = _assignment(data, net, names, max_size=2)
+    event = _assignment(data, net, names)
+    exact, oracle = ExactEngine(), OracleEngine()
+
+    _assert_same_query(_outcome(lambda: exact.query(net, targets, observed, do)),
+                       _outcome(lambda: oracle.query(net, targets, observed, do)))
     _assert_close(_outcome(lambda: exact.probability(net, event, observed, do)),
                   _outcome(lambda: oracle.probability(net, event, observed, do)))
+
+    observed_d = _without(observed, targets)
+    do_d = _without(do, targets, observed_d)
+    want = _outcome(lambda: oracle.query(net, targets, observed_d, do_d))
+    _assert_same_query(_outcome(lambda: exact.query(net, targets, observed_d, do_d)), want)
+    _assert_same_query(_outcome(lambda: exact.query(mutilate(net, do_d), targets, observed_d)), want)
+    do_p = _without(do, event, observed)
+    _assert_close(_outcome(lambda: exact.probability(net, event, observed, do_p)),
+                  _outcome(lambda: oracle.probability(net, event, observed, do_p)))
 
 
 @st.composite

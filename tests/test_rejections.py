@@ -56,6 +56,19 @@ REJECTIONS = [
      lambda n: OracleEngine().query(n, ("Smoker",), {"Smoker": "yes"}), ValueError),
     ("checked-query-target-observed",
      lambda n: CheckedEngine().query(n, ("Smoker",), {"Smoker": "yes"}), ValueError),
+    # a target that is intervened on, or do overlapping the observations, on every engine
+    ("query-target-intervened", lambda n: ExactEngine().query(n, ("Smoker",), None, {"Smoker": "yes"}),
+     ValueError),
+    ("oracle-query-target-intervened",
+     lambda n: OracleEngine().query(n, ("Smoker",), None, {"Smoker": "yes"}), ValueError),
+    ("checked-query-target-intervened",
+     lambda n: CheckedEngine().query(n, ("Smoker",), None, {"Smoker": "yes"}), ValueError),
+    ("query-do-observed", lambda n: ExactEngine().query(n, (), {"Smoker": "yes"}, {"Smoker": "yes"}),
+     ValueError),
+    ("oracle-query-do-observed",
+     lambda n: OracleEngine().query(n, (), {"Smoker": "yes"}, {"Smoker": "yes"}), ValueError),
+    ("checked-query-do-observed",
+     lambda n: CheckedEngine().query(n, (), {"Smoker": "yes"}, {"Smoker": "yes"}), ValueError),
     # do overlapping the event or the observations
     ("probability-do-event", lambda n: ExactEngine().probability(n, {"Smoker": "yes"}, None,
                                                                   {"Smoker": "yes"}), ValueError),
