@@ -4,13 +4,20 @@ An intervention drops the forced variable's CPT and binds the variable to
 the forced state (truncated factorization), then observations condition the
 altered distribution. The flow measures below quantify, in bits, how much
 forcing a variable changes a target distribution or a single target state.
+
+A flow from a source needs the target under every forced source state. It
+takes two eliminations, whatever the number of states: one posterior query
+p(source | observed, do), and one joint in which the source's CPT is
+replaced by ones and the source stays free (the regime-indicator view of an
+intervention), whose row s is p(target, observed | do, source=s).
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import Mapping
+
+import numpy as np
 
 from .errors import ImpossibleEvidenceError
 from .inference import ExactEngine, _check_roles, _engine
@@ -19,39 +26,58 @@ from .network import Network
 Assignment = Mapping[str, str]
 
 
-def _forced(eng, net, source, o, d, measure):
-    """p(source | o, do(d)), then ``measure(do(d, source=s))`` keyed by the index
-    of every state s of positive posterior, and their posterior-weighted mixture."""
-    p_source = eng.query(net, (source,), o, d).distribution.values
-    states = enumerate(net.domain(source))
-    forced = {i: measure({**d, source: s}) for i, s in states if p_source[i] > 0.0}
-    return p_source, forced, sum(p_source[i] * forced[i] for i in forced)
+def _forced(eng, net, source, targets, o, d) -> list:
+    """p(targets | o, do(d, source=s)) for every state s of the source, from one
+    elimination: an array over ``targets`` in declaration order, or None where
+    p(o | do(d, source=s)) is zero, that is, where forcing s contradicts o.
+
+    As in ``probability``, p(o | do(d, source=s)) is divided out only when o
+    binds a variable, and no cell exceeds one.
+    """
+    joint = eng._joint(net, targets, o, d, source)
+    rows = []
+    for row in np.moveaxis(joint.values, joint.scope.index(source), 0):
+        mass = float(row.sum()) if o else 1.0
+        rows.append(np.minimum(row, mass) / mass if mass > 0.0 else None)
+    return rows
+
+
+def _forced_event(eng, net, source, e, o, d) -> list[float | None]:
+    """p(e | o, do(d, source=s)) for every state s of the source, as :func:`_forced`."""
+    cell = tuple(net.state_index(v, s) for v, s in e.items())  # e is validated: declaration order
+    rows = _forced(eng, net, source, tuple(e), o, d)
+    return [None if row is None else float(row[cell]) for row in rows]
+
+
+def _mixture(p_source, forced):
+    """The ``forced`` terms of the states of positive posterior, weighted by it."""
+    return sum(p_source[i] * v for i, v in enumerate(forced) if p_source[i] > 0.0)
 
 
 def _state_terms(eng, net, source, e, o, d):
-    """:func:`_forced` with the measure p(e | o, do(·)): the terms that
-    :func:`_state_flow`, :func:`_pointwise` and the causal tree's labels share."""
-    return _forced(eng, net, source, o, d, partial(eng.probability, net, e, o))
+    """p(source | o, do(d)), :func:`_forced_event` and their mixture: the terms
+    that :func:`_state_flow`, :func:`_pointwise` and the causal tree's labels
+    share, from one query and one elimination."""
+    p_source = eng.query(net, (source,), o, d).distribution.values
+    p_e_forced = _forced_event(eng, net, source, e, o, d)
+    return p_source, p_e_forced, _mixture(p_source, p_e_forced)
 
 
 def _state_flow(terms, p_e: float) -> float:
     """Flow to the explanandum state from its ``terms`` and p(e | o, do(d)) > 0."""
     p_source, p_e_forced, mixture = terms
     return sum(((p_source[i] * v / p_e) * math.log2(v / mixture)
-                for i, v in p_e_forced.items() if v > 0.0), 0.0)
+                for i, v in enumerate(p_e_forced) if p_source[i] > 0.0 and v > 0.0), 0.0)
 
 
-def _pointwise(eng, net, source, state, e, o, d, terms) -> float:
-    """log2 of p(e | o, do(d, source=state)) over the mixture of ``terms``.
-
-    The known state's term is asked of the engine only when its posterior is
-    zero, so that it is missing from ``terms``.
-    """
+def _pointwise(net, source, state, terms) -> float:
+    """log2 of p(e | o, do(d, source=state)) over the mixture of ``terms``."""
     _, p_e_forced, mixture = terms
     if mixture <= 0.0:
         raise ImpossibleEvidenceError("explanandum has probability zero in this context")
-    i = net.state_index(source, state)
-    numer = p_e_forced[i] if i in p_e_forced else eng.probability(net, e, o, {**d, source: state})
+    numer = p_e_forced[net.state_index(source, state)]
+    if numer is None:
+        raise ImpossibleEvidenceError("conditioning event has probability zero")
     return math.log2(numer / mixture) if numer > 0.0 else float("-inf")
 
 
@@ -110,15 +136,16 @@ def information_flow(
             raise ValueError(f"variable {v!r} may not be intervened or observed here")
     eng = _engine(engine)
 
-    p_source, p_target, mixture = _forced(
-        eng, net, source, o, d, lambda forced: eng.query(net, (target,), o, forced).distribution.values
-    )
+    p_source = eng.query(net, (source,), o, d).distribution.values
+    p_target = _forced(eng, net, source, (target,), o, d)
+    mixture = _mixture(p_source, p_target)
 
     total = 0.0
-    for i, dist in p_target.items():
-        for j in range(dist.shape[0]):
-            if dist[j] > 0.0:
-                total += p_source[i] * dist[j] * math.log2(dist[j] / mixture[j])
+    for i, dist in enumerate(p_target):
+        if p_source[i] > 0.0:
+            for j in range(dist.shape[0]):
+                if dist[j] > 0.0:
+                    total += p_source[i] * dist[j] * math.log2(dist[j] / mixture[j])
     return total
 
 
@@ -174,4 +201,4 @@ def pointwise_flow(
     e, o, d = _flow_roles(net, source, explanandum, observed_rest, do)
     net.state_index(source, state)
     eng = _engine(engine)
-    return _pointwise(eng, net, source, state, e, o, d, _state_terms(eng, net, source, e, o, d))
+    return _pointwise(net, source, state, _state_terms(eng, net, source, e, o, d))

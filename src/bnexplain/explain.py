@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .causal import _pointwise, _state_flow, _state_terms
+from .causal import _forced_event, _pointwise, _state_flow, _state_terms
 from .errors import ImpossibleEvidenceError
 from .inference import ExactEngine, _engine, conditional_mutual_information, mpe
 from .network import Network, check_assignment, merge_assignments, reachable
@@ -31,8 +31,9 @@ class ExplainerConfig:
 
     alpha:
         Minimum score a variable must reach to be added to a tree. Causal
-        trees compare information flow against it, noncausal trees compare
-        conditional mutual information.
+        trees compare information flow against it, and a flow below alpha
+        by no more than rounding noise, 1e-12 * max(1, alpha), reaches it;
+        noncausal trees compare conditional mutual information.
     beta:
         Minimum posterior probability a noncausal-tree path must keep to be
         expanded further. Zero-probability branches therefore always stop,
@@ -202,7 +203,8 @@ def causal_explanation_tree(
     At every node the hypothesis variable with the largest flow to the
     explanandum state is selected, each of its states becomes a branch whose
     intervention extends the path, and recursion continues on the remaining
-    variables until none is left or the best flow drops below ``alpha``.
+    variables until none is left or the best flow drops below ``alpha`` by
+    more than rounding noise.
     Observed hypothesis variables are scored by their pointwise flow and
     branch only on their known state. Branch labels are
     log2(p(e | o, do(path)) / p(e | o)), with intervened variables dropped
@@ -231,12 +233,15 @@ def _grow_causal(net, hyp, o, e, path, p_e, prior, cfg, eng) -> ExplanationTree:
     """Causal-tree node at ``path``, where p(e | o, do(path)) = ``p_e`` > 0.
 
     Every reachable candidate x gets its :func:`~bnexplain.causal._state_terms`
-    p(x | o', do(path)), p(e | o', do(path, x=s)) and their mixture, with o'
-    the observations other than x; the flow to the state, or the pointwise
-    flow of an observed x, is computed from them as in the public flows. The
-    pick's terms are its branch labels and its children's p_e; only a pick
-    state of zero posterior is asked of the engine, and only there can the
-    intervention contradict the observations and prune the branch.
+    from two eliminations: p(x | o', do(path)) from one query, and
+    p(e | o', do(path, x=s)) for every state s from one joint with x free,
+    with o' the observations other than x. The flow to the state, or the
+    pointwise flow of an observed x, is computed from them as in the public
+    flows. The pick's terms are its branch labels and its children's p_e; a
+    pick that pruning scored zero asks for them in one joint. A state whose
+    intervention contradicts the observations is a pruned branch. Growth stops
+    when the best score is below ``alpha`` by more than rounding noise,
+    1e-12 * max(1, alpha), the slack of :func:`_argmax`.
     """
     if not hyp:
         return LEAF
@@ -248,32 +253,24 @@ def _grow_causal(net, hyp, o, e, path, p_e, prior, cfg, eng) -> ExplanationTree:
             continue
         rest = {k: v for k, v in o.items() if k != x}
         terms[x] = _state_terms(eng, net, x, e, rest, path)
-        scores[x] = (_pointwise(eng, net, x, o[x], e, rest, path, terms[x]) if x in o
-                     else _state_flow(terms[x], p_e))
+        scores[x] = _pointwise(net, x, o[x], terms[x]) if x in o else _state_flow(terms[x], p_e)
     pick = _argmax(hyp, scores)
-    if scores[pick] < cfg.alpha:
+    if scores[pick] < cfg.alpha - _ROUNDING_SLACK * max(1.0, cfg.alpha):
         return LEAF
 
-    states = (o[pick],) if pick in o else net.domain(pick)
-    known = {net.domain(pick)[i]: p for i, p in terms[pick][1].items()} if pick in terms else {}
     o_rest = {k: v for k, v in o.items() if k != pick}
+    p_forced = terms[pick][1] if pick in terms else _forced_event(eng, net, pick, e, o_rest, path)
     remaining = tuple(v for v in hyp if v != pick)
     branches = []
-    for state in states:
-        forced = {**path, pick: state}
-        try:  # only a state of zero posterior, or of an unscored pick, is asked
-            p_forced = known[state] if state in known else eng.probability(net, e, o_rest, forced)
-        except ImpossibleEvidenceError:
-            # the intervention contradicts the remaining observations
+    for state in (o[pick],) if pick in o else net.domain(pick):
+        p = p_forced[net.state_index(pick, state)]
+        if p is None:  # the intervention contradicts the remaining observations
             branches.append(Branch(state, None, LEAF, pruned=True))
-            continue
-        if p_forced > 0.0:
-            label = math.log2(p_forced / prior)
-            sub = _grow_causal(net, remaining, o_rest, e, forced, p_forced, prior, cfg, eng)
+        elif p > 0.0:
+            sub = _grow_causal(net, remaining, o_rest, e, {**path, pick: state}, p, prior, cfg, eng)
+            branches.append(Branch(state, math.log2(p / prior), sub))
         else:
-            label = float("-inf")
-            sub = LEAF
-        branches.append(Branch(state, label, sub))
+            branches.append(Branch(state, float("-inf"), LEAF))
     return ExplanationTree(pick, tuple(branches))
 
 

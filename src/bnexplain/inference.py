@@ -60,10 +60,12 @@ class QueryResult:
 def _check_roles(net: Network, **roles: Assignment | None) -> dict[str, dict[str, str]]:
     """Each role's bindings validated, in declaration order; no variable is in two roles."""
     out = {name: check_assignment(net, a) if a else {} for name, a in roles.items()}
-    for a, b in itertools.combinations(out, 2):
-        shared = set(out[a]) & set(out[b])
-        if shared:
-            raise ValueError(f"variables bound in both {a} and {b}: {', '.join(sorted(shared))}")
+    bound = [name for name in out if out[name]]
+    if len(bound) > 1:
+        for a, b in itertools.combinations(bound, 2):
+            if not out[a].keys().isdisjoint(out[b]):
+                shared = ", ".join(sorted(set(out[a]) & set(out[b])))
+                raise ValueError(f"variables bound in both {a} and {b}: {shared}")
     return out
 
 
@@ -85,9 +87,9 @@ def _result(joint: fa.Factor, targets: Sequence[str]) -> QueryResult:
     Raises:
         ImpossibleEvidenceError: ``targets`` nonempty and the evidence mass is zero.
     """
+    if not targets:  # the joint is one cell
+        return QueryResult(distribution=fa.unit_factor(), evidence_probability=float(joint.values))
     z = float(joint.values.sum())
-    if not targets:
-        return QueryResult(distribution=fa.unit_factor(), evidence_probability=z)
     if z <= 0.0:
         raise ImpossibleEvidenceError("conditioning event has probability zero")
     return QueryResult(distribution=fa.Factor(joint.scope, joint.values / z), evidence_probability=z)
@@ -124,9 +126,10 @@ class ExactEngine:
     restricted to the pruned set. Eliminating every variable of a subgraph in
     the restriction of an order builds no factor wider than that order builds
     on the whole graph, which bounds every query without targets. The
-    ``calls`` counter increments once per query, under a lock so that
-    concurrent queries count exactly, and exists purely as a diagnostic;
-    results are pure functions of the arguments.
+    ``calls`` counter increments once per elimination, that is per query or
+    per forced joint of :meth:`_joint`, under a lock so that concurrent
+    queries count exactly, and exists purely as a diagnostic; results are
+    pure functions of the arguments.
     """
 
     def __init__(self) -> None:
@@ -151,16 +154,32 @@ class ExactEngine:
             ValueError: a variable is in two of the three roles.
             ImpossibleEvidenceError: ``targets`` nonempty and p(observed) = 0.
         """
+        return _result(self._joint(net, targets, observed, do), targets)
+
+    def _joint(self, net, targets, observed=None, do=None, source=None) -> fa.Factor:
+        """Unnormalised joint over ``targets``, and over the ``source`` if one is
+        given, with axes in declaration order.
+
+        Its cell t is p(t, observed | do). Given a source, the source's CPT
+        factor is replaced by ones over the source, which stays free, so the
+        cell (s, t) is p(t, observed | do(do, source=s)): one elimination
+        answers every forced state of the source (the regime-indicator view of
+        an intervention). The source, targets, observed and intervened
+        variables are pairwise disjoint.
+        """
         with self._lock:
             self.calls += 1
-        observed, do = _query_args(net, targets, observed, do)
+        kept = targets if source is None else (source, *targets)
+        observed, do = _query_args(net, kept, observed, do)
 
-        relevant, stack = set(), [*targets, *observed]
+        relevant = set() if source is None else {source}  # the walk stops at the source
+        stack = [*targets, *observed]
         while stack:  # ancestors up to the intervened variables; all others are barren
             v = stack.pop()
             if v not in relevant and v not in do:
                 relevant.add(v)
                 stack.extend(net._factors[v].scope)
+        relevant.discard(source)
 
         bound = {**observed, **do}
         work = [_reduce(net._factors[v], bound, net) for v in sorted(relevant, key=net.index)]
@@ -169,9 +188,11 @@ class ExactEngine:
             work.append(fa.marginalize(_pop_product(work, var, net), var))
 
         joint = fa.unit_factor()
+        if source is not None:  # its CPT factor is all ones, and it stays in the answer
+            joint = fa.Factor((source,), np.ones(len(net.domain(source))))
         for f in work:
             joint = fa.multiply(joint, f, net)
-        return _result(joint, targets)
+        return joint
 
     def probability(
         self,

@@ -73,6 +73,16 @@ def _slicer(table: fa.Factor, net: Network, bound: Assignment) -> tuple:
     )
 
 
+def _masked_sum(table: fa.Factor, net: Network, targets, observed: Assignment) -> fa.Factor:
+    """The table's cells that agree with ``observed``, summed over all but ``targets``."""
+    block = table.values[_slicer(table, net, observed)]
+    if not targets:
+        return fa.Factor((), block.sum())
+    kept = [v for v in table.scope if v not in observed]
+    drop = tuple(i for i, v in enumerate(kept) if v not in targets)
+    return fa.Factor(tuple(v for v in kept if v in targets), block.sum(axis=drop))
+
+
 def oracle_query(
     table: fa.Factor, net: Network, event: Assignment, given: Assignment | None = None
 ) -> float:
@@ -100,7 +110,9 @@ class OracleEngine:
 
     A query slices the observed states out of the joint table of
     :func:`enumerate_joint` and sums the non-target axes; the table's
-    declaration order is already the answer's axis order. Joint tables are
+    declaration order is already the answer's axis order. A forced joint
+    takes one such sum per forced source state, each over its own one-hot
+    table, so it shares no mechanism with the engine's. Joint tables are
     cached per (network, intervention set), so repeated queries against the
     same post-intervention distribution stay cheap. The cache is this engine's
     own, keyed by network identity, and holds the network, so its id cannot be
@@ -114,7 +126,7 @@ class OracleEngine:
         self._tables: dict[tuple[int, tuple], tuple[Network, fa.Factor]] = {}
 
     def _table(self, net: Network, do: dict[str, str]) -> fa.Factor:
-        key = (id(net), tuple(do.items()))  # validated, so in declaration order
+        key = (id(net), frozenset(do.items()))
         if key not in self._tables:
             self._tables[key] = (net, enumerate_joint(net, do))
         return self._tables[key][1]
@@ -126,14 +138,23 @@ class OracleEngine:
         observed: Assignment | None = None,
         do: Assignment | None = None,
     ) -> QueryResult:
+        return _result(self._joint(net, targets, observed, do), targets)
+
+    def _joint(self, net, targets, observed=None, do=None, source=None) -> fa.Factor:
+        """:meth:`ExactEngine._joint <bnexplain.inference.ExactEngine._joint>` by
+        masked summation: one sum over the joint table of the intervention, or,
+        given a source, one over the table of each forced source state, stacked
+        along the source's axis."""
         with self._lock:
             self.calls += 1
-        observed, do = _query_args(net, targets, observed, do)
-        table = self._table(net, do)
-        kept = [v for v in table.scope if v not in observed]
-        drop = tuple(i for i, v in enumerate(kept) if v not in targets)
-        joint = table.values[_slicer(table, net, observed)].sum(axis=drop)
-        return _result(fa.Factor(tuple(v for v in kept if v in targets), joint), targets)
+        kept = targets if source is None else (source, *targets)
+        observed, do = _query_args(net, kept, observed, do)
+        if source is None:
+            return _masked_sum(self._table(net, do), net, targets, observed)
+        rows = [_masked_sum(self._table(net, {**do, source: s}), net, targets, observed)
+                for s in net.domain(source)]
+        scope = tuple(sorted((source, *rows[0].scope), key=net.index))
+        return fa.Factor(scope, np.stack([r.values for r in rows], axis=scope.index(source)))
 
     def probability(
         self,
@@ -146,7 +167,7 @@ class OracleEngine:
 
 
 class CheckedEngine:
-    """Runs every query on two engines and insists they agree.
+    """Runs every query and forced joint on two engines and insists they agree.
 
     Wraps a primary engine (normally :class:`ExactEngine`) and an
     :class:`OracleEngine`; any probability differing by more than 1e-9 raises
@@ -167,17 +188,23 @@ class CheckedEngine:
                 f"{kind} diverges from the enumeration oracle: {a!r} vs {b!r}"
             )
 
+    def _agree_table(self, kind: str, got: fa.Factor, want: fa.Factor) -> None:
+        if got.scope != want.scope:
+            raise OracleDivergenceError(f"{kind} scopes differ: {got.scope} vs {want.scope}")
+        gap = float(np.max(np.abs(got.values - want.values)))
+        if gap > _TOLERANCE:
+            raise OracleDivergenceError(f"{kind} diverges from the enumeration oracle by {gap!r}")
+
     def query(self, net, targets=(), observed=None, do=None) -> QueryResult:
         got = self.primary.query(net, targets, observed, do)
         want = self.reference.query(net, targets, observed, do)
         self._agree("evidence probability", got.evidence_probability, want.evidence_probability)
-        if got.distribution.scope != want.distribution.scope:
-            raise OracleDivergenceError(
-                f"distribution scopes differ: {got.distribution.scope} vs {want.distribution.scope}"
-            )
-        gap = float(np.max(np.abs(got.distribution.values - want.distribution.values)))
-        if gap > _TOLERANCE:
-            raise OracleDivergenceError(f"distribution diverges from the enumeration oracle by {gap!r}")
+        self._agree_table("distribution", got.distribution, want.distribution)
+        return got
+
+    def _joint(self, net, targets, observed=None, do=None, source=None) -> fa.Factor:
+        got = self.primary._joint(net, targets, observed, do, source)
+        self._agree_table("joint", got, self.reference._joint(net, targets, observed, do, source))
         return got
 
     def probability(self, net, event, observed=None, do=None) -> float:

@@ -200,6 +200,24 @@ def test_oracle_check_happy_paths(capsys):
         assert code == 0, f"{argv} -> {code}, err={err!r}"
 
 
+def test_oracle_check_compares_every_forced_joint_of_a_causal_tree(capsys, monkeypatch):
+    from bnexplain.oracle import CheckedEngine
+
+    checked = []
+    compare = CheckedEngine._joint
+
+    def spy(self, net, targets, observed=None, do=None, source=None):
+        checked.append((source, dict(observed or {})))
+        return compare(self, net, targets, observed, do, source)
+
+    monkeypatch.setattr(CheckedEngine, "_joint", spy)
+    code, out, err = run(capsys, "cet", "--network", ASIA, "--explanandum", "Dyspnea=yes",
+                         "--observe", "Smoker=yes", "--oracle-check")
+    assert code == 0, err
+    assert out.splitlines()[0] == "Bronchitis"
+    assert checked and all(source is not None and obs for source, obs in checked)
+
+
 def test_oracle_divergence_exits_4(capsys, monkeypatch):
     from bnexplain.errors import OracleDivergenceError
 

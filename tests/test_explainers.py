@@ -227,14 +227,37 @@ def test_cet_reachability_pruning_changes_nothing(drug, asia):
 def test_cet_pruning_scores_zero_past_an_observed_collider(asia):
     # With TbOrCa observed, forcing Tuberculosis explains LungCancer away, which
     # moves Smoker, Bronchitis and so Dyspnea: nonzero flow without a directed
-    # path that avoids the observation. Pruning scores it zero, so trees differ.
+    # path that avoids the observation. Pruning scores it zero, so trees differ:
+    # the full tree picks Tuberculosis, the pruned one ties it with VisitAsia
+    # at zero and picks VisitAsia by declaration order.
     assert flow_to_state(asia, "Tuberculosis", {"Dyspnea": "yes"}, {"TbOrCa": "yes"}) > 1e-5
     assert not reachable(asia, "Tuberculosis", "Dyspnea", {"TbOrCa"})
-    hyp = ["VisitAsia", "Tuberculosis", "LungCancer", "Smoker", "Bronchitis"]
+    hyp = ["VisitAsia", "Tuberculosis"]
     pruned, full = (causal_explanation_tree(asia, hyp, {"TbOrCa": "yes"}, {"Dyspnea": "yes"},
                                             ExplainerConfig(alpha=0.0, prune_unreachable=p))
                     for p in (True, False))
-    assert pruned != full
+    assert (pruned.variable, full.variable) == ("VisitAsia", "Tuberculosis")
+
+
+def test_cet_scores_within_rounding_noise_of_alpha_reach_it(asia):
+    # Given LungCancer, every candidate left under a Bronchitis branch has zero
+    # flow to Dyspnea up to rounding noise of either sign. Noise at alpha counts
+    # as reaching it, so both branches grow alike; the sign used to stop one.
+    hyp = ["Tuberculosis", "LungCancer", "Bronchitis", "TbOrCa", "X-ray"]
+    tree = causal_explanation_tree(asia, hyp, {"LungCancer": "yes"}, {"Dyspnea": "yes"},
+                                   ExplainerConfig(alpha=0.0))
+
+    def shape(node):
+        return node.variable, tuple((b.state, shape(b.subtree)) for b in node.branches)
+
+    bronchitis = tree.branches[0].subtree
+    assert bronchitis.variable == "Bronchitis"
+    yes, no = (b.subtree for b in bronchitis.branches)
+    assert shape(yes) == shape(no)
+    assert count_nodes(yes) == 7  # Tuberculosis, then TbOrCa, then X-ray, on every branch
+    stopped = causal_explanation_tree(asia, hyp, {"LungCancer": "yes"}, {"Dyspnea": "yes"},
+                                      ExplainerConfig(alpha=1e-9))
+    assert all(b.subtree.is_leaf() for b in stopped.branches[0].subtree.branches)
 
 
 def test_cet_deterministic(drug):
@@ -601,16 +624,46 @@ def test_cet_on_multistate_network(academe):
 
 
 class RecordingEngine(ExactEngine):
-    """Records every query by (targets, sorted observed items, sorted do items)."""
+    """Records every elimination by (source, targets, sorted observed items,
+    sorted do items): each query, with source None, and each forced joint."""
 
     def __init__(self):
         super().__init__()
         self.keys = []
 
-    def query(self, net, targets=(), observed=None, do=None):
-        self.keys.append((tuple(targets), tuple(sorted((observed or {}).items())),
+    def _joint(self, net, targets, observed=None, do=None, source=None):
+        self.keys.append((source, tuple(targets), tuple(sorted((observed or {}).items())),
                           tuple(sorted((do or {}).items()))))
-        return super().query(net, targets, observed, do)
+        return super()._joint(net, targets, observed, do, source)
+
+
+def _assert_two_eliminations_per_scored_candidate(keys, tree, observed, e):
+    """After the prior's queries, every question at path P is p(x | o', do(P))
+    or the forced joint of x over the explanandum, one each per scored
+    candidate x; only a pick that pruning scored zero asks its joint alone.
+    No branch of a pick asks anything."""
+    picks = {}
+
+    def walk(node, path):
+        if not node.is_leaf():
+            picks[path] = node.variable
+            for b in node.branches:
+                walk(b.subtree, tuple(sorted({**dict(path), node.variable: b.state}.items())))
+
+    walk(tree, ())
+    prior = 2 if {k: v for k, v in observed.items() if k not in e} else 1
+    assert all(k[:2] == (None, ()) for k in keys[:prior])
+    asked = collections.defaultdict(list)
+    for source, targets, _, do in keys[prior:]:
+        if source is None:
+            assert len(targets) == 1
+            asked[(do, targets[0])].append("query")
+        else:
+            assert targets == tuple(e)
+            asked[(do, source)].append("joint")
+    assert asked
+    for (do, x), kinds in asked.items():
+        assert kinds == ["query", "joint"] or (kinds == ["joint"] and picks.get(do) == x), (do, x)
 
 
 RANDOM_HYP = ["V0", "V1", "V2", "V3", "V4"]
@@ -637,7 +690,8 @@ def test_no_explainer_call_repeats_an_engine_query(request, net_factory, name):
     eng = RecordingEngine()
     cfg = ExplainerConfig(alpha=0.0)
     if kind == "cet":
-        causal_explanation_tree(net, hyp, observed, e, cfg, engine=eng)
+        tree = causal_explanation_tree(net, hyp, observed, e, cfg, engine=eng)
+        _assert_two_eliminations_per_scored_candidate(eng.keys, tree, observed, e)
     elif kind == "et":
         explanation_tree(net, hyp, e, cfg, engine=eng)
     else:

@@ -1,5 +1,5 @@
-"""Property tests: the engine, the causal measures and causal explanation
-trees against the enumeration oracle.
+"""Property tests: the engine, its forced joints, the causal measures and
+causal explanation trees against the enumeration oracle.
 
 Networks are drawn by ``conftest._draw_network`` with 2-8 variables of up to
 3 states, optionally (always, for the trees) with exact one-hot CPT rows and
@@ -11,12 +11,16 @@ must agree within 1e-9, or both raise the same exception type, or both return
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnexplain import (
+    CheckedEngine,
     ExactEngine,
+    Factor,
     ImpossibleEvidenceError,
+    OracleDivergenceError,
     OracleEngine,
     causal_explanation_tree,
     flow_to_state,
@@ -108,6 +112,52 @@ def test_exact_engine_matches_oracle_engine(net, data):
     do_p = _without(do, event, observed)
     _assert_close(_outcome(lambda: exact.probability(net, event, observed, do_p)),
                   _outcome(lambda: oracle.probability(net, event, observed, do_p)))
+
+
+@st.composite
+def forced_joint_cases(draw):
+    """A network, a source, targets and disjoint observation and intervention
+    sets that leave the source and the targets unbound."""
+    net = draw(networks())
+    source, *names = draw(st.permutations([v.name for v in net.variables]))
+    roles = {v: draw(st.sampled_from(("free", "target", "observed", "do"))) for v in names}
+
+    def bound(role):
+        return {v: draw(st.sampled_from(net.domain(v))) for v, r in roles.items() if r == role}
+
+    targets = tuple(v for v, r in roles.items() if r == "target")
+    return net, source, targets, bound("observed"), bound("do")
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(case=forced_joint_cases())
+def test_forced_joint_matches_oracle_engine(case):
+    """One elimination with the source's CPT replaced by ones gives, for every
+    source state s, the oracle's masked sum over the joint under do(source=s),
+    including the all-zero rows of states that contradict the observations."""
+    net, source, targets, observed, do = case
+    got = ExactEngine()._joint(net, targets, observed, do, source)
+    want = OracleEngine()._joint(net, targets, observed, do, source)
+    assert got.scope == tuple(sorted((source, *targets), key=net.index)) == want.scope
+    assert np.allclose(got.values, want.values, rtol=0.0, atol=_TOLERANCE)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(case=forced_joint_cases(), data=st.data())
+def test_checked_engine_rejects_a_perturbed_forced_joint(case, data):
+    net, source, targets, observed, do = case
+
+    class Perturbed(ExactEngine):
+        def _joint(self, net, targets, observed=None, do=None, source=None):
+            joint = super()._joint(net, targets, observed, do, source)
+            if source is None:
+                return joint
+            values = joint.values.copy()
+            values.flat[data.draw(st.integers(0, values.size - 1))] += 1e-6
+            return Factor(joint.scope, values)
+
+    with pytest.raises(OracleDivergenceError):
+        CheckedEngine(Perturbed())._joint(net, targets, observed, do, source)
 
 
 @st.composite
