@@ -15,9 +15,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
+import numpy as np
+
 from .causal import _forced_event, _pointwise, _state_flow, _state_terms
 from .errors import ImpossibleEvidenceError
-from .inference import ExactEngine, _engine, conditional_mutual_information, mpe
+from .inference import ExactEngine, _engine, _mutual_information, mpe
 from .network import Network, check_assignment, merge_assignments, reachable
 
 Assignment = Mapping[str, str]
@@ -30,10 +32,10 @@ class ExplainerConfig:
     """Knobs shared by the explainers; each method reads the fields it uses.
 
     alpha:
-        Minimum score a variable must reach to be added to a tree. Causal
-        trees compare information flow against it, and a flow below alpha
-        by no more than rounding noise, 1e-12 * max(1, alpha), reaches it;
-        noncausal trees compare conditional mutual information.
+        Minimum score a variable must reach to be added to a tree: causal
+        trees compare information flow against it, noncausal trees
+        conditional mutual information. A score below alpha by no more than
+        rounding noise, 1e-12 * max(1, alpha), reaches it.
     beta:
         Minimum posterior probability a noncausal-tree path must keep to be
         expanded further. Zero-probability branches therefore always stop,
@@ -290,10 +292,14 @@ def explanation_tree(
     At every node the hypothesis variable sharing the most information with
     the rest of the hypothesis set (conditioned on explanandum and path so
     far, summed over the other variables) is selected. Expansion stops when
-    the chosen variable's best pairwise information falls below ``alpha`` or
-    the path posterior does not exceed ``beta``; a singleton hypothesis set
-    has an empty sum, scores zero, and therefore stops under any positive
-    ``alpha``. Branch labels are the path posterior p(path, state | e).
+    the chosen variable's best pairwise information falls below ``alpha`` by
+    more than rounding noise, 1e-12 * max(1, alpha), or the path posterior
+    does not exceed ``beta``; a singleton hypothesis set has an empty sum,
+    scores zero, and therefore stops under any ``alpha`` above that noise.
+    Branch labels are the path posterior p(path, state | e). The root asks
+    one query per pair of hypothesis variables (one marginal for a single
+    variable), and every later table comes from its parent; see
+    :func:`_grow_noncausal`.
 
     Raises:
         ImpossibleEvidenceError: p(explanandum) is zero.
@@ -304,43 +310,62 @@ def explanation_tree(
 
     if eng.probability(net, e) <= 0.0:
         raise ImpossibleEvidenceError("explanandum has probability zero")
-    if cfg.beta >= 1.0:
-        return LEAF  # the empty path has posterior exactly 1
-    return _grow_noncausal(net, hyp, e, {}, 1.0, cfg, eng)
-
-
-def _grow_noncausal(net, hyp, e, path, p_path, cfg, eng) -> ExplanationTree:
-    """Noncausal-tree node at ``path``, where p(path | e) = ``p_path`` > beta.
-
-    A branch label p(path, s | e) is ``p_path`` times p(s | e, path), one
-    query over the pick per node.
-    """
-    if not hyp:
+    if cfg.beta >= 1.0 or not hyp:  # the empty path has posterior exactly 1
         return LEAF
-    context = merge_assignments(e, path)
-    pairwise = {}
-    for x, y in itertools.combinations(hyp, 2):
-        pairwise[(x, y)] = conditional_mutual_information(net, x, y, context, engine=eng)
+    keys = list(itertools.combinations(hyp, 2)) or [hyp]
+    tables = {key: eng.query(net, key, e).distribution.values for key in keys}
+    return _grow_noncausal(net, hyp, e, 1.0, tables, cfg, eng)
+
+
+def _grow_noncausal(net, hyp, context, p_path, tables, cfg, eng) -> ExplanationTree:
+    """Noncausal-tree node at path P, where ``context`` is e and P together and
+    p(P | e) = ``p_path`` > beta.
+
+    ``tables`` holds p(x, y | e, P) for every pair of ``hyp`` in combination
+    order, axes in declaration order, or p(x | e, P) when x is the only
+    variable left. The node asks no query for itself: its scores come from the
+    pair tables, and a branch label p(P, s | e) is ``p_path`` times
+    p(s | e, P), summed out of the first table over the pick and divided by
+    the sum, so that rounding cannot lift it above one. Its children's
+    tables come from one query p(pick, y, z | e, P) per pair of the remaining
+    variables, asked only when some branch expands; the child for state s gets
+    the slices at pick = s, each divided by its mass. Such a query is the
+    child's pair query with the pick left free: it has the same relevant set
+    and eliminates the same variables. When one variable is left, the slice is
+    of the pick's own pair table. A branch whose slices have no mass stops.
+    """
+    pairwise = {key: _mutual_information(t) for key, t in tables.items() if len(key) == 2}
 
     def around(v):
-        return [val for (x, y), val in pairwise.items() if v in (x, y)]
+        return [val for key, val in pairwise.items() if v in key]
 
     scores = {v: sum(around(v)) for v in hyp}
     pick = _argmax(hyp, scores)
     stop_stat = max(around(pick), default=0.0)
-    if stop_stat < cfg.alpha:
+    if stop_stat < cfg.alpha - _ROUNDING_SLACK * max(1.0, cfg.alpha):
         return LEAF
 
+    key = next(k for k in tables if pick in k)
+    mass = tables[key].sum(axis=tuple(i for i, v in enumerate(key) if v != pick))
+    labels = [p_path * p for p in (mass / mass.sum()).tolist()]
     remaining = tuple(v for v in hyp if v != pick)
-    p_pick = eng.query(net, (pick,), context).distribution.values
+    joints = {}  # the children's tables before slicing, the pick's axis first
+    if len(remaining) == 1:
+        joints[remaining] = np.moveaxis(tables[key], key.index(pick), 0)
+    elif remaining and any(label > cfg.beta for label in labels):
+        for yz in itertools.combinations(remaining, 2):
+            dist = eng.query(net, (pick, *yz), context).distribution
+            joints[yz] = np.moveaxis(dist.values, dist.scope.index(pick), 0)
+
     branches = []
-    for state, p_state in zip(net.domain(pick), p_pick.tolist()):
-        extended = {**path, pick: state}
-        label = p_path * p_state
-        if label > cfg.beta:
-            sub = _grow_noncausal(net, remaining, e, extended, label, cfg, eng)
-        else:
-            sub = LEAF
+    for i, (state, label) in enumerate(zip(net.domain(pick), labels)):
+        sub = LEAF
+        if label > cfg.beta and joints:
+            slices = {k: j[i] for k, j in joints.items()}
+            if all(t.sum() > 0.0 for t in slices.values()):
+                child = {k: t / t.sum() for k, t in slices.items()}
+                extended = {**context, pick: state}
+                sub = _grow_noncausal(net, remaining, extended, label, child, cfg, eng)
         branches.append(Branch(state, label, sub))
     return ExplanationTree(pick, tuple(branches))
 

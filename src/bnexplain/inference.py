@@ -271,11 +271,19 @@ def conditional_mutual_information(
     values = qr.distribution.values
     if qr.distribution.scope[0] != x:
         values = values.T
-    px = values.sum(axis=1)
-    py = values.sum(axis=0)
-    mask = values > 0.0
+    return _mutual_information(values)
+
+
+def _mutual_information(table: np.ndarray) -> float:
+    """Mutual information in bits of a normalised two-axis table.
+
+    Zero cells contribute zero; rounding noise below 0 is clamped.
+    """
+    px = table.sum(axis=1)
+    py = table.sum(axis=0)
+    mask = table > 0.0
     denom = np.outer(px, py)
-    return max(0.0, float(np.sum(values[mask] * np.log2(values[mask] / denom[mask]))))
+    return max(0.0, float(np.sum(table[mask] * np.log2(table[mask] / denom[mask]))))
 
 
 def mpe(

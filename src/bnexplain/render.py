@@ -1,20 +1,21 @@
 """Rendering of trees and rankings: plain text, JSON objects, and DOT.
 
-Text and DOT show labels to 4 decimal places; JSON keeps full precision and
-round-trips losslessly through :func:`tree_from_json_obj`.
+Text and DOT show labels to 4 decimal places, and a label within 1e-12 of
+zero as ``0.0000``; JSON keeps full precision and round-trips losslessly
+through :func:`tree_from_json_obj`.
 """
 
 from __future__ import annotations
 
 import json
 
-from .explain import Branch, ExplanationTree, RankedExplanations
+from .explain import _ROUNDING_SLACK, Branch, ExplanationTree, RankedExplanations
 
 
 def _fmt(label: float | None) -> str:
     if label is None:
         return "pruned"
-    if label == 0.0:  # avoid "-0.0000"
+    if abs(label) <= _ROUNDING_SLACK:  # rounding noise prints "0.0000", never "-0.0000"
         label = 0.0
     return f"{label:.4f}"
 

@@ -218,6 +218,33 @@ def test_oracle_check_compares_every_forced_joint_of_a_causal_tree(capsys, monke
     assert checked and all(source is not None and obs for source, obs in checked)
 
 
+def test_oracle_check_compares_every_query_of_a_noncausal_tree(capsys, monkeypatch):
+    from bnexplain.inference import ExactEngine
+    from bnexplain.oracle import CheckedEngine
+
+    asked, checked = [], []
+    exact, compare = ExactEngine.query, CheckedEngine.query
+
+    def spy_exact(self, net, targets=(), observed=None, do=None):
+        asked.append(tuple(targets))
+        return exact(self, net, targets, observed, do)
+
+    def spy_checked(self, net, targets=(), observed=None, do=None):
+        checked.append(tuple(targets))
+        return compare(self, net, targets, observed, do)
+
+    monkeypatch.setattr(ExactEngine, "query", spy_exact)
+    monkeypatch.setattr(CheckedEngine, "query", spy_checked)
+    code, out, err = run(capsys, "et", "--network", ASIA, "--explanandum", "Dyspnea=yes",
+                         "--oracle-check")
+    assert code == 0, err
+    assert out.splitlines()[0] == "TbOrCa"
+    # only p(e)'s evidence-mass query, which CheckedEngine.probability checks, has no target
+    targeted = [t for t in asked if t]
+    assert targeted == checked
+    assert any(len(t) == 3 for t in checked) and max(map(len, checked)) == 3
+
+
 def test_oracle_divergence_exits_4(capsys, monkeypatch):
     from bnexplain.errors import OracleDivergenceError
 

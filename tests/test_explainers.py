@@ -356,7 +356,7 @@ def test_et_singleton_hypothesis(drug):
     labels = {b.state: b.label for b in tree.branches}
     assert labels["yes"] == pytest.approx(event_probability(drug, {"Drug": "yes"}, REC), abs=1e-12)
     assert all(b.subtree.is_leaf() for b in tree.branches)
-    # any positive alpha stops a singleton immediately (empty-sum convention)
+    # any alpha above rounding noise stops a singleton immediately (empty-sum convention)
     assert explanation_tree(drug, ["Drug"], REC, ExplainerConfig(alpha=0.01)).is_leaf()
 
 
@@ -406,6 +406,17 @@ def test_et_rounding_noise_neither_stops_nor_decides():
     tree = explanation_tree(net, ["A", "B", "C"], e, ExplainerConfig(alpha=0.0))
     assert tree.variable == "A"
     assert all(b.subtree.variable == "B" for b in tree.branches)
+
+
+def test_et_alpha_above_the_best_cmi_by_rounding_noise_still_grows(drug):
+    # the pick's best pairwise information reaches an alpha above it by no
+    # more than 1e-12 * max(1, alpha), as a causal tree's best flow does
+    cmi = conditional_mutual_information(drug, "Sex", "Drug", REC)
+    alpha = cmi + 1e-15
+    assert cmi > 0.02 and alpha > cmi
+    tree = explanation_tree(drug, ["Sex", "Drug"], REC, ExplainerConfig(alpha=alpha))
+    assert tree.variable == "Sex"
+    assert explanation_tree(drug, ["Sex", "Drug"], REC, ExplainerConfig(alpha=cmi + 2e-12)).is_leaf()
 
 
 def test_argmax_treats_rounding_noise_as_a_tie():
@@ -666,6 +677,38 @@ def _assert_two_eliminations_per_scored_candidate(keys, tree, observed, e):
         assert kinds == ["query", "joint"] or (kinds == ["joint"] and picks.get(do) == x), (do, x)
 
 
+def _assert_pairs_at_the_root_then_triples(keys, net, tree, hyp, e, beta):
+    """After p(e), the root asks one query per pair of hypothesis variables
+    (one marginal for a single variable). Every later query is
+    p(pick, y, z | e, P), one per pair (y, z) of the variables left below a
+    pick at path P, asked in the pick's node before its children's and only
+    when one of its branches has label > beta. Returns the number of nodes
+    that asked nothing because every branch stopped by beta."""
+    hyp = [v.name for v in net.variables if v.name in hyp]
+    at_e = tuple(sorted(e.items()))
+    root = list(itertools.combinations(hyp, 2)) or [tuple(hyp)]
+    want = [(None, (), at_e, ())] + [(None, pair, at_e, ()) for pair in root]
+    stopped = 0
+
+    def walk(node, path):
+        nonlocal stopped
+        if node.is_leaf():
+            return
+        left = [v for v in hyp if v != node.variable and v not in path]
+        if len(left) > 1 and any(b.label > beta for b in node.branches):
+            context = tuple(sorted({**e, **path}.items()))
+            want.extend((None, (node.variable, y, z), context, ())
+                        for y, z in itertools.combinations(left, 2))
+        elif len(left) > 1:
+            stopped += 1
+        for b in node.branches:
+            walk(b.subtree, {**path, node.variable: b.state})
+
+    walk(tree, {})
+    assert keys == want
+    return stopped
+
+
 RANDOM_HYP = ["V0", "V1", "V2", "V3", "V4"]
 NO_REPEAT_CASES = {
     # Smoker is observed, so the causal tree scores it by pointwise flow
@@ -677,7 +720,10 @@ NO_REPEAT_CASES = {
     "random-cet": ("cet", "random", RANDOM_HYP, {"V3": "s0"}, {"V7": "s1"}),
     "random-et": ("et", "random", RANDOM_HYP, {}, {"V7": "s1"}),
     "random-bf": ("bf", "random", RANDOM_HYP, {}, {"V7": "s1"}),
+    "asia-et-beta": ("et", "asia", ASIA_HYP, {}, {"Dyspnea": "yes"}),
 }
+# at beta 0.1, one asia node below the root has every branch at or below beta
+NO_REPEAT_CONFIGS = {"asia-et-beta": ExplainerConfig(beta=0.1)}
 
 
 @pytest.mark.parametrize("name", NO_REPEAT_CASES)
@@ -688,12 +734,14 @@ def test_no_explainer_call_repeats_an_engine_query(request, net_factory, name):
     else:
         net = request.getfixturevalue(key)
     eng = RecordingEngine()
-    cfg = ExplainerConfig(alpha=0.0)
+    cfg = NO_REPEAT_CONFIGS.get(name, ExplainerConfig(alpha=0.0))
     if kind == "cet":
         tree = causal_explanation_tree(net, hyp, observed, e, cfg, engine=eng)
         _assert_two_eliminations_per_scored_candidate(eng.keys, tree, observed, e)
     elif kind == "et":
-        explanation_tree(net, hyp, e, cfg, engine=eng)
+        tree = explanation_tree(net, hyp, e, cfg, engine=eng)
+        stopped = _assert_pairs_at_the_root_then_triples(eng.keys, net, tree, hyp, e, cfg.beta)
+        assert stopped == (cfg.beta > 0.0)
     else:
         bayes_factor_search(net, hyp, e, cfg, engine=eng)
         subsets = len(hyp) + math.comb(len(hyp), 2)

@@ -4,8 +4,10 @@ import re
 import pytest
 
 from bnexplain import (
+    Branch,
     Cpt,
     ExplainerConfig,
+    ExplanationTree,
     Network,
     Variable,
     causal_explanation_tree,
@@ -100,6 +102,17 @@ def test_text_tree_snapshot(drug_tree):
         "   +- Drug=yes: -1.1699\n"
         "   `- Drug=no: -0.5850\n"
     )
+
+
+def test_labels_within_rounding_noise_of_zero_print_unsigned():
+    # a forced state without effect can give p(e | do) one ulp below the
+    # prior, so a causal-tree label of -3.2e-16; JSON keeps it exactly
+    leaf = ExplanationTree()
+    tree = ExplanationTree("A", (Branch("a0", -3.2e-16, leaf), Branch("a1", 1e-12, leaf),
+                                 Branch("a2", -2e-12, leaf)))
+    assert tree_to_text(tree) == "A\n+- A=a0: 0.0000\n+- A=a1: 0.0000\n`- A=a2: -0.0000\n"
+    assert 'label="a0: 0.0000"' in tree_to_dot(tree)
+    assert tree_to_json_obj(tree)["branches"][0]["label"] == -3.2e-16
 
 
 def test_text_tree_marks_pruned_branches(pruned_tree):
