@@ -9,7 +9,10 @@ A flow from a source needs the target under every forced source state. It
 takes two eliminations, whatever the number of states: one posterior query
 p(source | observed, do), and one joint in which the source's CPT is
 replaced by ones and the source stays free (the regime-indicator view of an
-intervention), whose row s is p(target, observed | do, source=s).
+intervention), whose row s is p(target, observed | do, source=s). The joint
+may keep several sources free: a causal-tree node that keeps its pick free
+next to a candidate x gets, in the same two eliminations, x's terms under
+every forced state of the pick, one per branch (:func:`_branch_terms`).
 """
 
 from __future__ import annotations
@@ -17,10 +20,8 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-import numpy as np
-
 from .errors import ImpossibleEvidenceError
-from .inference import ExactEngine, _check_roles, _engine
+from .inference import ExactEngine, _check_roles, _engine, _split
 from .network import Network
 
 Assignment = Mapping[str, str]
@@ -34,12 +35,7 @@ def _forced(eng, net, source, targets, o, d) -> list:
     As in ``probability``, p(o | do(d, source=s)) is divided out only when o
     binds a variable, and no cell exceeds one.
     """
-    joint = eng._joint(net, targets, o, d, source)
-    rows = []
-    for row in np.moveaxis(joint.values, joint.scope.index(source), 0):
-        mass = float(row.sum()) if o else 1.0
-        rows.append(np.minimum(row, mass) / mass if mass > 0.0 else None)
-    return rows
+    return _split(eng._joint(net, targets, o, d, (source,)), (source,), normalise=bool(o))
 
 
 def _forced_event(eng, net, source, e, o, d) -> list[float | None]:
@@ -61,6 +57,26 @@ def _state_terms(eng, net, source, e, o, d):
     p_source = eng.query(net, (source,), o, d).distribution.values
     p_e_forced = _forced_event(eng, net, source, e, o, d)
     return p_source, p_e_forced, _mixture(p_source, p_e_forced)
+
+
+def _branch_terms(eng, net, pick, live, candidates, e, o, d) -> dict[int, dict]:
+    """The :func:`_state_terms` of each candidate x at do(d, pick=s), keyed by
+    x, for every index s in ``live``, from two eliminations per candidate that
+    keep the pick free: p(x, o' | do(d, pick)) over (pick, x), and
+    p(e, o' | do(d, pick, x)) over (pick, x, e), with o' the observations other
+    than x. Each joint is sliced at every state of the pick at once.
+    """
+    cell = tuple(net.state_index(v, s) for v, s in e.items())  # e is validated: declaration order
+    terms: dict[int, dict] = {i: {} for i in live}
+    for x in candidates:
+        rest = {k: v for k, v in o.items() if k != x}
+        p_x = _split(eng._joint(net, (x,), rest, d, (pick,)), (pick,))
+        forced = _split(eng._joint(net, tuple(e), rest, d, (pick, x)), (pick, x), bool(rest))
+        n = len(net.domain(x))
+        for i in live:
+            p_e_forced = [None if r is None else float(r[cell]) for r in forced[i * n:(i + 1) * n]]
+            terms[i][x] = (p_x[i], p_e_forced, _mixture(p_x[i], p_e_forced))
+    return terms
 
 
 def _state_flow(terms, p_e: float) -> float:

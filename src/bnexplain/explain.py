@@ -15,11 +15,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-import numpy as np
-
-from .causal import _forced_event, _pointwise, _state_flow, _state_terms
+from . import factors as fa
+from .causal import _branch_terms, _forced_event, _pointwise, _state_flow, _state_terms
 from .errors import ImpossibleEvidenceError
-from .inference import ExactEngine, _engine, _mutual_information, mpe
+from .inference import ExactEngine, _engine, _mutual_information, _split, mpe
 from .network import Network, check_assignment, merge_assignments, reachable
 
 Assignment = Mapping[str, str]
@@ -145,7 +144,8 @@ class Explanation:
 
 @dataclass(frozen=True)
 class RankedExplanations:
-    """Scored explanations, best first; ties keep assignment-lexicographic order.
+    """Scored explanations, best first; scores tied up to rounding noise keep
+    the order in which the search enumerates them.
 
     ``skipped_degenerate`` counts hypotheses whose prior was 0 or 1, for which
     a Bayes factor is undefined.
@@ -231,31 +231,37 @@ def causal_explanation_tree(
     return _grow_causal(net, hyp, o, e, {}, prior, prior, cfg, eng)
 
 
-def _grow_causal(net, hyp, o, e, path, p_e, prior, cfg, eng) -> ExplanationTree:
+def _grow_causal(net, hyp, o, e, path, p_e, prior, cfg, eng, terms=None) -> ExplanationTree:
     """Causal-tree node at ``path``, where p(e | o, do(path)) = ``p_e`` > 0.
 
-    Every reachable candidate x gets its :func:`~bnexplain.causal._state_terms`
-    from two eliminations: p(x | o', do(path)) from one query, and
-    p(e | o', do(path, x=s)) for every state s from one joint with x free,
-    with o' the observations other than x. The flow to the state, or the
-    pointwise flow of an observed x, is computed from them as in the public
-    flows. The pick's terms are its branch labels and its children's p_e; a
-    pick that pruning scored zero asks for them in one joint. A state whose
-    intervention contradicts the observations is a pruned branch. Growth stops
-    when the best score is below ``alpha`` by more than rounding noise,
-    1e-12 * max(1, alpha), the slack of :func:`_argmax`.
+    ``terms`` holds the :func:`~bnexplain.causal._state_terms` of every
+    candidate x that reachability pruning leaves to score: p(x | o', do(path))
+    and p(e | o', do(path, x=s)) for every state s, with o' the observations
+    other than x; the other candidates score zero. The flow to the state, or
+    the pointwise flow of an observed x, is computed from them as in the
+    public flows. Without ``terms`` (at the root, and below a pick with one
+    live branch) the node prunes and asks two eliminations per candidate
+    itself: one query, and one joint with x free.
+
+    The pick's terms are its branch labels and its children's p_e; a pick
+    that pruning scored zero asks for them in one joint. A state whose
+    intervention contradicts the observations is a pruned branch; a branch
+    with a finite label is live. When two or more are live, the node prunes
+    the candidates left once for all its children and asks two eliminations
+    per candidate that keep the pick free as well
+    (:func:`~bnexplain.causal._branch_terms`); each child gets the slices at
+    its state as its ``terms``. Growth stops when the best score is below
+    ``alpha`` by more than rounding noise, 1e-12 * max(1, alpha), the slack
+    of :func:`_argmax`.
     """
     if not hyp:
         return LEAF
-    scores, terms = {}, {}
-    blocked = set(o) | set(path)
-    for x in hyp:
-        if cfg.prune_unreachable and not any(reachable(net, x, t, blocked) for t in e):
-            scores[x] = 0.0
-            continue
-        rest = {k: v for k, v in o.items() if k != x}
-        terms[x] = _state_terms(eng, net, x, e, rest, path)
-        scores[x] = _pointwise(net, x, o[x], terms[x]) if x in o else _state_flow(terms[x], p_e)
+    if terms is None:
+        terms = {x: _state_terms(eng, net, x, e, {k: v for k, v in o.items() if k != x}, path)
+                 for x in _scored(net, hyp, e, set(o) | set(path), cfg)}
+    scores = {x: 0.0 for x in hyp}
+    for x, t in terms.items():
+        scores[x] = _pointwise(net, x, o[x], t) if x in o else _state_flow(t, p_e)
     pick = _argmax(hyp, scores)
     if scores[pick] < cfg.alpha - _ROUNDING_SLACK * max(1.0, cfg.alpha):
         return LEAF
@@ -263,17 +269,36 @@ def _grow_causal(net, hyp, o, e, path, p_e, prior, cfg, eng) -> ExplanationTree:
     o_rest = {k: v for k, v in o.items() if k != pick}
     p_forced = terms[pick][1] if pick in terms else _forced_event(eng, net, pick, e, o_rest, path)
     remaining = tuple(v for v in hyp if v != pick)
+    if pick in o:
+        states = [(net.state_index(pick, o[pick]), o[pick])]
+    else:
+        states = list(enumerate(net.domain(pick)))
+    live = [i for i, _ in states if p_forced[i] is not None and p_forced[i] > 0.0]
+    below = {}
+    if remaining and len(live) >= 2:
+        scored = _scored(net, remaining, e, set(o) | set(path) | {pick}, cfg)
+        below = _branch_terms(eng, net, pick, live, scored, e, o_rest, path)
     branches = []
-    for state in (o[pick],) if pick in o else net.domain(pick):
-        p = p_forced[net.state_index(pick, state)]
+    for i, state in states:
+        p = p_forced[i]
         if p is None:  # the intervention contradicts the remaining observations
             branches.append(Branch(state, None, LEAF, pruned=True))
         elif p > 0.0:
-            sub = _grow_causal(net, remaining, o_rest, e, {**path, pick: state}, p, prior, cfg, eng)
+            sub = _grow_causal(net, remaining, o_rest, e, {**path, pick: state}, p, prior, cfg,
+                               eng, below.get(i))
             branches.append(Branch(state, math.log2(p / prior), sub))
         else:
             branches.append(Branch(state, float("-inf"), LEAF))
     return ExplanationTree(pick, tuple(branches))
+
+
+def _scored(net, candidates, e, blocked, cfg) -> list[str]:
+    """The candidates that reachability pruning leaves to score: all of them,
+    or, with ``prune_unreachable``, those with a directed path to the
+    explanandum whose interior avoids ``blocked``."""
+    if not cfg.prune_unreachable:
+        return list(candidates)
+    return [x for x in candidates if any(reachable(net, x, t, blocked) for t in e)]
 
 
 # -- noncausal explanation trees ----------------------------------------------------
@@ -349,23 +374,20 @@ def _grow_noncausal(net, hyp, context, p_path, tables, cfg, eng) -> ExplanationT
     mass = tables[key].sum(axis=tuple(i for i, v in enumerate(key) if v != pick))
     labels = [p_path * p for p in (mass / mass.sum()).tolist()]
     remaining = tuple(v for v in hyp if v != pick)
-    joints = {}  # the children's tables before slicing, the pick's axis first
+    rows = {}  # the children's tables: per key, one normalised slice per state of the pick
     if len(remaining) == 1:
-        joints[remaining] = np.moveaxis(tables[key], key.index(pick), 0)
+        rows[remaining] = _split(fa.Factor(key, tables[key]), (pick,))
     elif remaining and any(label > cfg.beta for label in labels):
         for yz in itertools.combinations(remaining, 2):
-            dist = eng.query(net, (pick, *yz), context).distribution
-            joints[yz] = np.moveaxis(dist.values, dist.scope.index(pick), 0)
+            rows[yz] = _split(eng.query(net, (pick, *yz), context).distribution, (pick,))
 
     branches = []
     for i, (state, label) in enumerate(zip(net.domain(pick), labels)):
         sub = LEAF
-        if label > cfg.beta and joints:
-            slices = {k: j[i] for k, j in joints.items()}
-            if all(t.sum() > 0.0 for t in slices.values()):
-                child = {k: t / t.sum() for k, t in slices.items()}
-                extended = {**context, pick: state}
-                sub = _grow_noncausal(net, remaining, extended, label, child, cfg, eng)
+        child = {k: r[i] for k, r in rows.items()}
+        if label > cfg.beta and child and all(t is not None for t in child.values()):
+            extended = {**context, pick: state}
+            sub = _grow_noncausal(net, remaining, extended, label, child, cfg, eng)
         branches.append(Branch(state, label, sub))
     return ExplanationTree(pick, tuple(branches))
 
@@ -405,9 +427,11 @@ def bayes_factor_search(
     with the Bayes factor (posterior odds over prior odds by default, plain
     posterior odds with ``raw_odds``). Hypotheses with prior 0 or 1 have no
     defined odds ratio; they are skipped and counted. A posterior within 1e-12
-    of one scores infinity, as its odds are rounding noise. With
-    ``best_per_subset`` (default), the ranking keeps one entry per variable
-    subset, namely its best assignment, before the top_k cut.
+    of one scores infinity, as its odds are rounding noise. Scores within
+    rounding noise of each other tie, and tied entries keep enumeration order
+    (see :func:`_rank`). With ``best_per_subset`` (default), the ranking then
+    keeps one entry per variable subset, namely its best assignment, before
+    the top_k cut.
 
     Raises:
         ImpossibleEvidenceError: p(explanandum) is zero.
@@ -441,7 +465,7 @@ def bayes_factor_search(
                     score = (posterior / (1.0 - posterior)) * ((1.0 - prior) / prior)
                 scored.append((frozenset(subset), Explanation(tuple(zip(subset, states)), score)))
 
-    ranked = sorted(scored, key=lambda item: -item[1].score)  # stable: ties keep enum order
+    ranked = _rank(scored)
     if cfg.best_per_subset:
         seen: set[frozenset[str]] = set()
         deduped = []
@@ -452,6 +476,23 @@ def bayes_factor_search(
         ranked = deduped
     entries = tuple(entry for _, entry in ranked[: cfg.top_k])
     return RankedExplanations("bayes_factor", entries, skipped_degenerate=skipped)
+
+
+def _rank(scored: list) -> list:
+    """``(subset, explanation)`` pairs, given in enumeration order, best score
+    first. Each maximal run of scores within 1e-12 * max(1, |lead|) of the
+    run's first score, its lead, is a tie and keeps enumeration order, so that
+    rounding noise cannot reorder equivalent hypotheses. Infinite scores tie
+    only with each other: a slack of inf * 1e-12 would merge every finite
+    score into their run."""
+    scores = [entry.score for _, entry in scored]
+    run_of, run, floor = [0] * len(scores), 0, math.inf  # run 0 holds the infinite scores
+    for i in sorted(range(len(scores)), key=scores.__getitem__, reverse=True):  # stable
+        if scores[i] < floor:
+            run += 1
+            floor = scores[i] - _ROUNDING_SLACK * max(1.0, abs(scores[i]))
+        run_of[i] = run
+    return [scored[i] for i in sorted(range(len(scores)), key=run_of.__getitem__)]
 
 
 # -- best explanation out of a tree ------------------------------------------------------

@@ -72,8 +72,11 @@ def _check_roles(net: Network, **roles: Assignment | None) -> dict[str, dict[str
 def _query_args(
     net: Network, targets: Sequence[str], observed: Assignment | None, do: Assignment | None
 ) -> tuple[dict[str, str], dict[str, str]]:
-    """Validated (observed, do) of a query; targets, observed and do are pairwise disjoint."""
+    """Validated (observed, do) of a query; the targets are distinct, and
+    targets, observed and do are pairwise disjoint."""
     observed, do = _check_roles(net, observed=observed, do=do).values()
+    if len(set(targets)) < len(targets):
+        raise ValueError(f"query targets repeat a variable: {', '.join(targets)}")
     for t in targets:
         net.index(t)
         if t in observed or t in do:
@@ -93,6 +96,26 @@ def _result(joint: fa.Factor, targets: Sequence[str]) -> QueryResult:
     if z <= 0.0:
         raise ImpossibleEvidenceError("conditioning event has probability zero")
     return QueryResult(distribution=fa.Factor(joint.scope, joint.values / z), evidence_probability=z)
+
+
+def _split(joint: fa.Factor, free: Sequence[str], normalise: bool = True) -> list:
+    """``joint`` split into one table per joint state of the ``free`` variables,
+    in C order over ``free`` as given.
+
+    Each table holds the cells at that state, with the other axes in
+    declaration order, divided by its mass: the table's sum, or one without
+    ``normalise``. No cell exceeds the mass, against rounding. A table whose
+    mass is zero is None. One vectorised pass serves every state.
+    """
+    axes = [joint.scope.index(v) for v in free]
+    values = joint.values.transpose(axes + [i for i in range(len(joint.scope)) if i not in axes])
+    rows = np.ascontiguousarray(values).reshape(-1, *values.shape[len(axes):])
+    if not normalise:
+        return list(np.minimum(rows, 1.0))
+    mass = rows.reshape(len(rows), -1).sum(axis=1)
+    cap = mass.reshape(-1, *(1,) * (rows.ndim - 1))
+    scaled = np.divide(np.minimum(rows, cap), cap, out=np.zeros_like(rows), where=cap > 0.0)
+    return [row if m > 0.0 else None for row, m in zip(scaled, mass.tolist())]
 
 
 def _probability(
@@ -156,30 +179,31 @@ class ExactEngine:
         """
         return _result(self._joint(net, targets, observed, do), targets)
 
-    def _joint(self, net, targets, observed=None, do=None, source=None) -> fa.Factor:
-        """Unnormalised joint over ``targets``, and over the ``source`` if one is
-        given, with axes in declaration order.
+    def _joint(self, net, targets, observed=None, do=None, sources=()) -> fa.Factor:
+        """Unnormalised joint over ``targets`` and the ``sources``, with axes in
+        declaration order.
 
-        Its cell t is p(t, observed | do). Given a source, the source's CPT
-        factor is replaced by ones over the source, which stays free, so the
-        cell (s, t) is p(t, observed | do(do, source=s)): one elimination
-        answers every forced state of the source (the regime-indicator view of
-        an intervention). The source, targets, observed and intervened
-        variables are pairwise disjoint.
+        Its cell t is p(t, observed | do). Each source's CPT factor is replaced
+        by ones and the source stays free, so the cell (s, t) is
+        p(t, observed | do(do, sources=s)): one elimination answers every joint
+        forced state s of the sources (the regime-indicator view of an
+        intervention). The ancestor walk stops at the sources, as it does at
+        the intervened variables, and one all-ones factor over the sources
+        carries their axes into the answer. Sources, targets, observed and
+        intervened variables are pairwise disjoint.
         """
         with self._lock:
             self.calls += 1
-        kept = targets if source is None else (source, *targets)
-        observed, do = _query_args(net, kept, observed, do)
+        observed, do = _query_args(net, (*sources, *targets), observed, do)
 
-        relevant = set() if source is None else {source}  # the walk stops at the source
+        relevant = set(sources)  # the walk stops at the sources
         stack = [*targets, *observed]
         while stack:  # ancestors up to the intervened variables; all others are barren
             v = stack.pop()
             if v not in relevant and v not in do:
                 relevant.add(v)
                 stack.extend(net._factors[v].scope)
-        relevant.discard(source)
+        relevant.difference_update(sources)
 
         bound = {**observed, **do}
         work = [_reduce(net._factors[v], bound, net) for v in sorted(relevant, key=net.index)]
@@ -188,8 +212,9 @@ class ExactEngine:
             work.append(fa.marginalize(_pop_product(work, var, net), var))
 
         joint = fa.unit_factor()
-        if source is not None:  # its CPT factor is all ones, and it stays in the answer
-            joint = fa.Factor((source,), np.ones(len(net.domain(source))))
+        if sources:  # their CPT factors are all ones, and they stay in the answer
+            free = tuple(sorted(sources, key=net.index))
+            joint = fa.Factor(free, np.ones(tuple(len(net.domain(v)) for v in free)))
         for f in work:
             joint = fa.multiply(joint, f, net)
         return joint

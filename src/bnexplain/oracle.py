@@ -14,6 +14,7 @@ the tests) and backs the CLI's ``--oracle-check`` flag through
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from typing import Mapping, Sequence
@@ -111,10 +112,10 @@ class OracleEngine:
     A query slices the observed states out of the joint table of
     :func:`enumerate_joint` and sums the non-target axes; the table's
     declaration order is already the answer's axis order. A forced joint
-    takes one such sum per forced source state, each over its own one-hot
-    table, so it shares no mechanism with the engine's. Joint tables are
-    cached per (network, intervention set), so repeated queries against the
-    same post-intervention distribution stay cheap. The cache is this engine's
+    takes one such sum per joint forced state of its sources, each over its
+    own one-hot table, so it shares no mechanism with the engine's. Joint
+    tables are cached per (network, intervention set), so repeated queries
+    against the same post-intervention distribution stay cheap. The cache is this engine's
     own, keyed by network identity, and holds the network, so its id cannot be
     reused while the entry lives. The ``calls`` counter is incremented under a
     lock.
@@ -140,21 +141,24 @@ class OracleEngine:
     ) -> QueryResult:
         return _result(self._joint(net, targets, observed, do), targets)
 
-    def _joint(self, net, targets, observed=None, do=None, source=None) -> fa.Factor:
+    def _joint(self, net, targets, observed=None, do=None, sources=()) -> fa.Factor:
         """:meth:`ExactEngine._joint <bnexplain.inference.ExactEngine._joint>` by
         masked summation: one sum over the joint table of the intervention, or,
-        given a source, one over the table of each forced source state, stacked
-        along the source's axis."""
+        given sources, one over the table of each joint forced state of the
+        sources, stacked along their axes."""
         with self._lock:
             self.calls += 1
-        kept = targets if source is None else (source, *targets)
-        observed, do = _query_args(net, kept, observed, do)
-        if source is None:
+        observed, do = _query_args(net, (*sources, *targets), observed, do)
+        if not sources:
             return _masked_sum(self._table(net, do), net, targets, observed)
-        rows = [_masked_sum(self._table(net, {**do, source: s}), net, targets, observed)
-                for s in net.domain(source)]
-        scope = tuple(sorted((source, *rows[0].scope), key=net.index))
-        return fa.Factor(scope, np.stack([r.values for r in rows], axis=scope.index(source)))
+        free = tuple(sorted(sources, key=net.index))
+        rows = [_masked_sum(self._table(net, {**do, **dict(zip(free, states))}), net, targets,
+                            observed)
+                for states in itertools.product(*(net.domain(v) for v in free))]
+        shape = tuple(len(net.domain(v)) for v in free) + rows[0].values.shape
+        stacked = fa.Factor(free + rows[0].scope, np.reshape([r.values for r in rows], shape))
+        scope = tuple(sorted(stacked.scope, key=net.index))
+        return fa.Factor(scope, stacked.values.transpose([stacked.scope.index(v) for v in scope]))
 
     def probability(
         self,
@@ -202,9 +206,9 @@ class CheckedEngine:
         self._agree_table("distribution", got.distribution, want.distribution)
         return got
 
-    def _joint(self, net, targets, observed=None, do=None, source=None) -> fa.Factor:
-        got = self.primary._joint(net, targets, observed, do, source)
-        self._agree_table("joint", got, self.reference._joint(net, targets, observed, do, source))
+    def _joint(self, net, targets, observed=None, do=None, sources=()) -> fa.Factor:
+        got = self.primary._joint(net, targets, observed, do, sources)
+        self._agree_table("joint", got, self.reference._joint(net, targets, observed, do, sources))
         return got
 
     def probability(self, net, event, observed=None, do=None) -> float:
@@ -329,8 +333,6 @@ def oracle_pointwise_flow(
 
 def oracle_mpe(net: Network, evidence: Assignment) -> tuple[dict[str, str], float]:
     """Argmax over all completions, first maximum in declaration-lex order."""
-    import itertools
-
     evidence = check_assignment(net, evidence)
     table = enumerate_joint(net)
     p_evidence = (

@@ -201,21 +201,30 @@ def test_oracle_check_happy_paths(capsys):
 
 
 def test_oracle_check_compares_every_forced_joint_of_a_causal_tree(capsys, monkeypatch):
+    from bnexplain.inference import ExactEngine
     from bnexplain.oracle import CheckedEngine
 
-    checked = []
-    compare = CheckedEngine._joint
+    asked, checked = [], []
+    exact, compare = ExactEngine._joint, CheckedEngine._joint
 
-    def spy(self, net, targets, observed=None, do=None, source=None):
-        checked.append((source, dict(observed or {})))
-        return compare(self, net, targets, observed, do, source)
+    def spy_exact(self, net, targets, observed=None, do=None, sources=()):
+        asked.append((tuple(sources), tuple(targets), bool(observed)))
+        return exact(self, net, targets, observed, do, sources)
 
-    monkeypatch.setattr(CheckedEngine, "_joint", spy)
+    def spy_checked(self, net, targets, observed=None, do=None, sources=()):
+        checked.append((tuple(sources), tuple(targets), bool(observed)))
+        return compare(self, net, targets, observed, do, sources)
+
+    monkeypatch.setattr(ExactEngine, "_joint", spy_exact)
+    monkeypatch.setattr(CheckedEngine, "_joint", spy_checked)
     code, out, err = run(capsys, "cet", "--network", ASIA, "--explanandum", "Dyspnea=yes",
                          "--observe", "Smoker=yes", "--oracle-check")
     assert code == 0, err
     assert out.splitlines()[0] == "Bronchitis"
-    assert checked and all(source is not None and obs for source, obs in checked)
+    # queries, which CheckedEngine.query checks, are the eliminations without sources
+    assert [key for key in asked if key[0]] == checked
+    assert all(observed for _, _, observed in checked)
+    assert any(len(sources) == 2 for sources, _, _ in checked)
 
 
 def test_oracle_check_compares_every_query_of_a_noncausal_tree(capsys, monkeypatch):

@@ -635,46 +635,67 @@ def test_cet_on_multistate_network(academe):
 
 
 class RecordingEngine(ExactEngine):
-    """Records every elimination by (source, targets, sorted observed items,
-    sorted do items): each query, with source None, and each forced joint."""
+    """Records every elimination by (sources, targets, sorted observed items,
+    sorted do items): each query, with no sources, and each forced joint."""
 
     def __init__(self):
         super().__init__()
         self.keys = []
 
-    def _joint(self, net, targets, observed=None, do=None, source=None):
-        self.keys.append((source, tuple(targets), tuple(sorted((observed or {}).items())),
+    def _joint(self, net, targets, observed=None, do=None, sources=()):
+        self.keys.append((tuple(sources), tuple(targets), tuple(sorted((observed or {}).items())),
                           tuple(sorted((do or {}).items()))))
-        return super()._joint(net, targets, observed, do, source)
+        return super()._joint(net, targets, observed, do, sources)
 
 
-def _assert_two_eliminations_per_scored_candidate(keys, tree, observed, e):
-    """After the prior's queries, every question at path P is p(x | o', do(P))
-    or the forced joint of x over the explanandum, one each per scored
-    candidate x; only a pick that pruning scored zero asks its joint alone.
-    No branch of a pick asks anything."""
-    picks = {}
+def _assert_causal_sequence(keys, net, tree, hyp, observed, e):
+    """The exact elimination sequence of a causal tree. After the prior's
+    queries, a node that gets no terms from its parent (the root, or a node
+    below a pick with one live branch) asks p(x | o', do(P)) and then the
+    joint with x free, per candidate x that reachability does not prune. A
+    pick with two or more live branches asks, for each candidate left that
+    is not pruned at its children, the joints over (pick, x) and over
+    (pick, x, e) with the pick free; its children ask nothing for their
+    terms. A pick that pruning scored zero asks its own joint."""
+    hyp = [v.name for v in net.variables if v.name in hyp]
+    events = tuple(v.name for v in net.variables if v.name in e)
+    o = {k: v for k, v in observed.items() if k not in e}
+    want = [((), (), tuple(sorted({**e, **o}.items())), ())]
+    if o:
+        want.append(((), (), tuple(sorted(o.items())), ()))
 
-    def walk(node, path):
-        if not node.is_leaf():
-            picks[path] = node.variable
-            for b in node.branches:
-                walk(b.subtree, tuple(sorted({**dict(path), node.variable: b.state}.items())))
+    def without(bound, x):
+        return tuple(sorted((k, v) for k, v in bound.items() if k != x))
 
-    walk(tree, ())
-    prior = 2 if {k: v for k, v in observed.items() if k not in e} else 1
-    assert all(k[:2] == (None, ()) for k in keys[:prior])
-    asked = collections.defaultdict(list)
-    for source, targets, _, do in keys[prior:]:
-        if source is None:
-            assert len(targets) == 1
-            asked[(do, targets[0])].append("query")
-        else:
-            assert targets == tuple(e)
-            asked[(do, source)].append("joint")
-    assert asked
-    for (do, x), kinds in asked.items():
-        assert kinds == ["query", "joint"] or (kinds == ["joint"] and picks.get(do) == x), (do, x)
+    def scored(left, blocked):
+        return [x for x in left if any(reachable(net, x, t, blocked) for t in e)]
+
+    def walk(node, left, o, path, given):
+        do = tuple(sorted(path.items()))
+        here = scored(left, set(o) | set(path))
+        if not given:
+            for x in here:
+                want.extend([((), (x,), without(o, x), do), ((x,), events, without(o, x), do)])
+        if node.is_leaf():
+            return
+        pick = node.variable
+        o_rest = {k: v for k, v in o.items() if k != pick}
+        if pick not in here:
+            want.append(((pick,), events, tuple(sorted(o_rest.items())), do))
+        remaining = [v for v in left if v != pick]
+        live = [b for b in node.branches if not b.pruned and b.label != float("-inf")]
+        batched = bool(remaining) and len(live) >= 2
+        if batched:
+            for x in scored(remaining, set(o) | set(path) | {pick}):
+                rest = without(o_rest, x)
+                want.extend([((pick,), (x,), rest, do), ((pick, x), events, rest, do)])
+        for b in live:
+            if remaining:
+                walk(b.subtree, remaining, o_rest, {**path, pick: b.state}, batched)
+
+    if hyp:
+        walk(tree, hyp, o, {}, False)
+    assert keys == want
 
 
 def _assert_pairs_at_the_root_then_triples(keys, net, tree, hyp, e, beta):
@@ -687,7 +708,7 @@ def _assert_pairs_at_the_root_then_triples(keys, net, tree, hyp, e, beta):
     hyp = [v.name for v in net.variables if v.name in hyp]
     at_e = tuple(sorted(e.items()))
     root = list(itertools.combinations(hyp, 2)) or [tuple(hyp)]
-    want = [(None, (), at_e, ())] + [(None, pair, at_e, ()) for pair in root]
+    want = [((), (), at_e, ())] + [((), pair, at_e, ()) for pair in root]
     stopped = 0
 
     def walk(node, path):
@@ -697,7 +718,7 @@ def _assert_pairs_at_the_root_then_triples(keys, net, tree, hyp, e, beta):
         left = [v for v in hyp if v != node.variable and v not in path]
         if len(left) > 1 and any(b.label > beta for b in node.branches):
             context = tuple(sorted({**e, **path}.items()))
-            want.extend((None, (node.variable, y, z), context, ())
+            want.extend(((), (node.variable, y, z), context, ())
                         for y, z in itertools.combinations(left, 2))
         elif len(left) > 1:
             stopped += 1
@@ -721,6 +742,8 @@ NO_REPEAT_CASES = {
     "random-et": ("et", "random", RANDOM_HYP, {}, {"V7": "s1"}),
     "random-bf": ("bf", "random", RANDOM_HYP, {}, {"V7": "s1"}),
     "asia-et-beta": ("et", "asia", ASIA_HYP, {}, {"Dyspnea": "yes"}),
+    # do(A=a1) contradicts B=b0, so the root's pick has one live branch
+    "copies-cet": ("cet", "copies", ["A", "X"], {"B": "b0"}, {"E": "e1"}),
 }
 # at beta 0.1, one asia node below the root has every branch at or below beta
 NO_REPEAT_CONFIGS = {"asia-et-beta": ExplainerConfig(beta=0.1)}
@@ -731,13 +754,15 @@ def test_no_explainer_call_repeats_an_engine_query(request, net_factory, name):
     kind, key, hyp, observed, e = NO_REPEAT_CASES[name]
     if key == "random":
         net = net_factory(np.random.default_rng(7), 8, max_states=3)
+    elif key == "copies":
+        net = copies_net()
     else:
         net = request.getfixturevalue(key)
     eng = RecordingEngine()
     cfg = NO_REPEAT_CONFIGS.get(name, ExplainerConfig(alpha=0.0))
     if kind == "cet":
         tree = causal_explanation_tree(net, hyp, observed, e, cfg, engine=eng)
-        _assert_two_eliminations_per_scored_candidate(eng.keys, tree, observed, e)
+        _assert_causal_sequence(eng.keys, net, tree, hyp, observed, e)
     elif kind == "et":
         tree = explanation_tree(net, hyp, e, cfg, engine=eng)
         stopped = _assert_pairs_at_the_root_then_triples(eng.keys, net, tree, hyp, e, cfg.beta)
@@ -748,3 +773,53 @@ def test_no_explainer_call_repeats_an_engine_query(request, net_factory, name):
         assert len(eng.keys) == 1 + 2 * subsets  # p(e), then a prior and a posterior table each
     repeats = {k: n for k, n in collections.Counter(eng.keys).items() if n > 1}
     assert not repeats
+
+
+def test_a_full_binary_causal_tree_asks_63_eliminations():
+    """Five binary root causes of E grow the full tree of 31 nodes at alpha 0:
+    a root's flow is a divergence, never negative. p(e) is one query; the
+    root asks two eliminations for each of its 5 candidates; every pick has
+    two live branches and asks two for each candidate left, for both children
+    at once: 1 + 10 + 8 + 2*6 + 4*4 + 8*2 = 63. Two eliminations per candidate
+    at every node would be 1 + 2 * (5 + 2*4 + 4*3 + 8*2 + 16*1) = 115."""
+    rng = np.random.default_rng(3)
+    causes = [f"H{i}" for i in range(5)]
+    variables = [Variable(v, ("t", "f")) for v in [*causes, "E"]]
+    priors = rng.uniform(0.2, 0.8, 5).tolist()
+    cpts = {v: Cpt(v, (), ((p, 1.0 - p),)) for v, p in zip(causes, priors)}
+    rows = tuple((p, 1.0 - p) for p in rng.uniform(0.05, 0.95, 32).tolist())
+    cpts["E"] = Cpt("E", tuple(causes), rows)
+    net = Network(variables, cpts, name="causes")
+    eng = ExactEngine()
+    tree = causal_explanation_tree(net, causes, {}, {"E": "t"}, ExplainerConfig(), engine=eng)
+    assert count_nodes(tree) == 31
+    assert eng.calls == 63
+
+
+def test_bayes_factor_scores_one_ulp_apart_keep_enumeration_order():
+    """A and B are exchangeable causes of E up to one ulp in one CPT entry, so
+    B=t outscores A=t by one ulp; the two tie and keep enumeration order."""
+    q = 0.61
+    variables = [Variable("A", ("t", "f")), Variable("B", ("t", "f")), Variable("E", ("y", "n"))]
+    ft = math.nextafter(q, 1.0)
+    cpts = {
+        "A": Cpt("A", (), ((0.2, 0.8),)),
+        "B": Cpt("B", (), ((0.2, 0.8),)),
+        "E": Cpt("E", ("A", "B"), ((0.43, 0.57), (q, 1.0 - q), (ft, 1.0 - ft), (0.39, 0.61))),
+    }
+    net = Network(variables, cpts, name="exchangeable")
+    cfg = ExplainerConfig(max_subset_size=1, top_k=4, best_per_subset=False)
+    ranking = bayes_factor_search(net, ["A", "B"], {"E": "y"}, cfg)
+    scores = {e.assignment: e.score for e in ranking.entries}
+    assert scores[(("B", "t"),)] == math.nextafter(scores[(("A", "t"),)], math.inf)
+    assert [e.assignment for e in ranking.entries[:2]] == [(("A", "t"),), (("B", "t"),)]
+    assert ranking.entries[2].score < ranking.entries[1].score - 1e-6
+
+
+def test_infinite_bayes_factors_tie_only_with_each_other():
+    from bnexplain.explain import Explanation, _rank
+
+    scores = [5.0, math.inf, math.nextafter(5.0, math.inf), math.inf, 4.0]
+    scored = [(frozenset({f"V{i}"}), Explanation(((f"V{i}", "t"),), s))
+              for i, s in enumerate(scores)]
+    assert [scored.index(item) for item in _rank(scored)] == [1, 3, 0, 2, 4]

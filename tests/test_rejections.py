@@ -69,6 +69,17 @@ REJECTIONS = [
      lambda n: OracleEngine().query(n, (), {"Smoker": "yes"}, {"Smoker": "yes"}), ValueError),
     ("checked-query-do-observed",
      lambda n: CheckedEngine().query(n, (), {"Smoker": "yes"}, {"Smoker": "yes"}), ValueError),
+    # a repeated target, or a source of a forced joint that is also a target
+    ("query-repeated-target", lambda n: ExactEngine().query(n, ("Smoker", "Smoker")), ValueError),
+    ("oracle-query-repeated-target",
+     lambda n: OracleEngine().query(n, ("Smoker", "Smoker")), ValueError),
+    ("joint-source-is-target",
+     lambda n: ExactEngine()._joint(n, ("Smoker",), None, None, ("Smoker",)), ValueError),
+    ("oracle-joint-source-is-target",
+     lambda n: OracleEngine()._joint(n, ("Smoker",), None, None, ("Smoker",)), ValueError),
+    ("checked-joint-repeated-source",
+     lambda n: CheckedEngine()._joint(n, ("Dyspnea",), None, None, ("Smoker", "Smoker")),
+     ValueError),
     # do overlapping the event or the observations
     ("probability-do-event", lambda n: ExactEngine().probability(n, {"Smoker": "yes"}, None,
                                                                   {"Smoker": "yes"}), ValueError),
