@@ -6,13 +6,14 @@ altered distribution. The flow measures below quantify, in bits, how much
 forcing a variable changes a target distribution or a single target state.
 
 A flow from a source needs the target under every forced source state. It
-takes two eliminations, whatever the number of states: one posterior query
-p(source | observed, do), and one joint in which the source's CPT is
+takes two eliminations, whatever the number of states: one joint
+p(source, observed | do), and one joint in which the source's CPT is
 replaced by ones and the source stays free (the regime-indicator view of an
-intervention), whose row s is p(target, observed | do, source=s). The joint
-may keep several sources free: a causal-tree node that keeps its pick free
-next to a candidate x gets, in the same two eliminations, x's terms under
-every forced state of the pick, one per branch (:func:`_branch_terms`).
+intervention), whose row s is p(target, observed | do, source=s). Both
+joints may keep picks free next to the source: a causal-tree node that
+keeps its pick free gets, in the same two eliminations, a candidate's terms
+under every forced state of the pick, one per branch. :func:`_terms` asks
+them for the public flows, with no pick, and for every causal-tree node.
 """
 
 from __future__ import annotations
@@ -50,30 +51,30 @@ def _mixture(p_source, forced):
     return sum(p_source[i] * v for i, v in enumerate(forced) if p_source[i] > 0.0)
 
 
-def _state_terms(eng, net, source, e, o, d):
-    """p(source | o, do(d)), :func:`_forced_event` and their mixture: the terms
-    that :func:`_state_flow`, :func:`_pointwise` and the causal tree's labels
-    share, from one query and one elimination."""
-    p_source = eng.query(net, (source,), o, d).distribution.values
-    p_e_forced = _forced_event(eng, net, source, e, o, d)
-    return p_source, p_e_forced, _mixture(p_source, p_e_forced)
+def _terms(eng, net, picks, live, candidates, e, o, d) -> dict[int, dict]:
+    """The flow terms of each candidate x at do(d, picks=s), keyed by x, for
+    every index s in ``live`` of the joint states of ``picks``, which is
+    ``()`` or ``(pick,)``: p(x | o', do(d, picks=s)), p(e | o', do(d,
+    picks=s, x=t)) for every state t of x (None where forcing t contradicts
+    o'), and their mixture, with o' the observations other than x.
 
+    Two eliminations per candidate, sliced at every live s at once: the
+    joint over (picks, x) and the joint over (picks, x, e), keeping the
+    picks and x free.
 
-def _branch_terms(eng, net, pick, live, candidates, e, o, d) -> dict[int, dict]:
-    """The :func:`_state_terms` of each candidate x at do(d, pick=s), keyed by
-    x, for every index s in ``live``, from two eliminations per candidate that
-    keep the pick free: p(x, o' | do(d, pick)) over (pick, x), and
-    p(e, o' | do(d, pick, x)) over (pick, x, e), with o' the observations other
-    than x. Each joint is sliced at every state of the pick at once.
+    Raises:
+        ImpossibleEvidenceError: a live row of p(x | o', do) has no mass.
     """
     cell = tuple(net.state_index(v, s) for v, s in e.items())  # e is validated: declaration order
     terms: dict[int, dict] = {i: {} for i in live}
     for x in candidates:
         rest = {k: v for k, v in o.items() if k != x}
-        p_x = _split(eng._joint(net, (x,), rest, d, (pick,)), (pick,))
-        forced = _split(eng._joint(net, tuple(e), rest, d, (pick, x)), (pick, x), bool(rest))
+        p_x = _split(eng._joint(net, (x,), rest, d, picks), picks)
+        forced = _split(eng._joint(net, tuple(e), rest, d, (*picks, x)), (*picks, x), bool(rest))
         n = len(net.domain(x))
         for i in live:
+            if p_x[i] is None:
+                raise ImpossibleEvidenceError("conditioning event has probability zero")
             p_e_forced = [None if r is None else float(r[cell]) for r in forced[i * n:(i + 1) * n]]
             terms[i][x] = (p_x[i], p_e_forced, _mixture(p_x[i], p_e_forced))
     return terms
@@ -95,20 +96,6 @@ def _pointwise(net, source, state, terms) -> float:
     if numer is None:
         raise ImpossibleEvidenceError("conditioning event has probability zero")
     return math.log2(numer / mixture) if numer > 0.0 else float("-inf")
-
-
-def _flow_roles(net, source, explanandum, observed, do) -> tuple[dict[str, str], ...]:
-    """Validated (explanandum, observed, do) of a flow from ``source``.
-
-    The roles are disjoint, the explanandum is nonempty and the source is unbound.
-    """
-    e, o, d = _check_roles(net, explanandum=explanandum, observed=observed, do=do).values()
-    if not e:
-        raise ValueError("explanandum must bind at least one variable")
-    net.index(source)
-    if source in e or source in o or source in d:
-        raise ValueError(f"source {source!r} is already bound in the query")
-    return e, o, d
 
 
 def interventional_probability(
@@ -142,14 +129,7 @@ def information_flow(
     variables, for faithful distributions. A deterministic binary copy of the
     source scores exactly one bit.
     """
-    net.index(source)
-    net.index(target)
-    if source == target:
-        raise ValueError("source and target must differ")
-    d, o = _check_roles(net, do=do, observed=observed).values()
-    for v in (source, target):
-        if v in d or v in o:
-            raise ValueError(f"variable {v!r} may not be intervened or observed here")
+    d, o = _check_roles(net, (source, target), do=do, observed=observed).values()
     eng = _engine(engine)
 
     p_source = eng.query(net, (source,), o, d).distribution.values
@@ -181,16 +161,17 @@ def flow_to_state(
     divided by its current probability, so that averaging over explanandum
     states weighted by their probability recovers the full flow. May be
     negative when forcing the source tends to make the explanandum rarer.
-    Validates, then applies :func:`_state_flow` to the :func:`_state_terms`
-    that a causal-tree node computes for each unobserved candidate.
+    Validates, then applies :func:`_state_flow` to the :func:`_terms` that a
+    causal-tree node gets for each unobserved candidate.
     """
-    e, o, d = _flow_roles(net, source, explanandum, observed, do)
+    e, o, d = _check_roles(net, (source,), explanandum=explanandum, observed=observed,
+                           do=do).values()
     eng = _engine(engine)
 
     p_e = eng.probability(net, e, o, d)
     if p_e <= 0.0:
         raise ImpossibleEvidenceError("explanandum has probability zero in this context")
-    return _state_flow(_state_terms(eng, net, source, e, o, d), p_e)
+    return _state_flow(_terms(eng, net, (), [0], [source], e, o, d)[0][source], p_e)
 
 
 def pointwise_flow(
@@ -211,10 +192,14 @@ def pointwise_flow(
     mixture over all forced source values, weighted by the source posterior.
     Returns ``-inf`` when forcing the known value makes the explanandum
     impossible. Validates, then applies :func:`_pointwise` to the
-    :func:`_state_terms` that a causal-tree node computes for each observed
-    candidate.
+    :func:`_terms` that a causal-tree node gets for each observed candidate.
+
+    Raises:
+        ImpossibleEvidenceError: ``observed_rest`` or the explanandum has
+            probability zero under ``do``.
     """
-    e, o, d = _flow_roles(net, source, explanandum, observed_rest, do)
+    e, o, d = _check_roles(net, (source,), explanandum=explanandum, observed=observed_rest,
+                           do=do).values()
     net.state_index(source, state)
     eng = _engine(engine)
-    return _pointwise(net, source, state, _state_terms(eng, net, source, e, o, d))
+    return _pointwise(net, source, state, _terms(eng, net, (), [0], [source], e, o, d)[0][source])

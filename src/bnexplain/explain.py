@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from . import factors as fa
-from .causal import _branch_terms, _forced_event, _pointwise, _state_flow, _state_terms
+from .causal import _forced_event, _pointwise, _state_flow, _terms
 from .errors import ImpossibleEvidenceError
-from .inference import ExactEngine, _engine, _mutual_information, _split, mpe
+from .inference import ExactEngine, _check_roles, _engine, _mutual_information, _split, mpe
 from .network import Network, check_assignment, merge_assignments, reachable
 
 Assignment = Mapping[str, str]
@@ -159,20 +159,9 @@ class RankedExplanations:
 def _explainer_roles(
     net: Network, hypothesis: Iterable[str], explanandum: Assignment
 ) -> tuple[tuple[str, ...], dict[str, str]]:
-    """Hypothesis variables in declaration order and the validated explanandum.
-
-    The explanandum binds at least one variable; every hypothesis variable is
-    declared and none is part of the explanandum.
-    """
-    e = check_assignment(net, explanandum)
-    if not e:
-        raise ValueError("explanandum must bind at least one variable")
-    names = set(hypothesis)
-    for v in names:
-        net.index(v)
-    clash = names & set(e)
-    if clash:
-        raise ValueError(f"hypothesis variables overlap the explanandum: {', '.join(sorted(clash))}")
+    """Hypothesis variables in declaration order and the validated explanandum."""
+    names = tuple(dict.fromkeys(hypothesis))
+    e = _check_roles(net, names, explanandum=explanandum)["explanandum"]
     return tuple(v.name for v in net.variables if v.name in names), e
 
 
@@ -228,37 +217,33 @@ def causal_explanation_tree(
     prior = eng.probability(net, e, o)
     if prior <= 0.0:
         raise ImpossibleEvidenceError("explanandum has probability zero given the observations")
-    return _grow_causal(net, hyp, o, e, {}, prior, prior, cfg, eng)
+    terms = _terms(eng, net, (), [0], _scored(net, hyp, e, set(o), cfg), e, o, {})[0]
+    return _grow_causal(net, hyp, o, e, {}, prior, prior, cfg, eng, terms)
 
 
-def _grow_causal(net, hyp, o, e, path, p_e, prior, cfg, eng, terms=None) -> ExplanationTree:
+def _grow_causal(net, hyp, o, e, path, p_e, prior, cfg, eng, terms) -> ExplanationTree:
     """Causal-tree node at ``path``, where p(e | o, do(path)) = ``p_e`` > 0.
 
-    ``terms`` holds the :func:`~bnexplain.causal._state_terms` of every
-    candidate x that reachability pruning leaves to score: p(x | o', do(path))
-    and p(e | o', do(path, x=s)) for every state s, with o' the observations
-    other than x; the other candidates score zero. The flow to the state, or
-    the pointwise flow of an observed x, is computed from them as in the
-    public flows. Without ``terms`` (at the root, and below a pick with one
-    live branch) the node prunes and asks two eliminations per candidate
-    itself: one query, and one joint with x free.
+    ``terms`` holds the :func:`~bnexplain.causal._terms` of every candidate x
+    that reachability pruning leaves to score: p(x | o', do(path)) and
+    p(e | o', do(path, x=s)) for every state s, with o' the observations
+    other than x; the other candidates score zero. The node asks nothing for
+    them: the root's come from :func:`causal_explanation_tree`, every other
+    node's from its parent. The flow to the state, or the pointwise flow of
+    an observed x, is computed from them as in the public flows.
 
     The pick's terms are its branch labels and its children's p_e; a pick
     that pruning scored zero asks for them in one joint. A state whose
     intervention contradicts the observations is a pruned branch; a branch
-    with a finite label is live. When two or more are live, the node prunes
-    the candidates left once for all its children and asks two eliminations
-    per candidate that keep the pick free as well
-    (:func:`~bnexplain.causal._branch_terms`); each child gets the slices at
-    its state as its ``terms``. Growth stops when the best score is below
-    ``alpha`` by more than rounding noise, 1e-12 * max(1, alpha), the slack
-    of :func:`_argmax`.
+    with a finite label is live. When some branch is live and candidates are
+    left, the node prunes them once for all its children and asks two
+    eliminations per candidate that keep the pick free as well; each child
+    gets the slices at its state as its ``terms``. Growth stops when the best
+    score is below ``alpha`` by more than rounding noise,
+    1e-12 * max(1, alpha), the slack of :func:`_argmax`.
     """
     if not hyp:
         return LEAF
-    if terms is None:
-        terms = {x: _state_terms(eng, net, x, e, {k: v for k, v in o.items() if k != x}, path)
-                 for x in _scored(net, hyp, e, set(o) | set(path), cfg)}
     scores = {x: 0.0 for x in hyp}
     for x, t in terms.items():
         scores[x] = _pointwise(net, x, o[x], t) if x in o else _state_flow(t, p_e)
@@ -275,9 +260,9 @@ def _grow_causal(net, hyp, o, e, path, p_e, prior, cfg, eng, terms=None) -> Expl
         states = list(enumerate(net.domain(pick)))
     live = [i for i, _ in states if p_forced[i] is not None and p_forced[i] > 0.0]
     below = {}
-    if remaining and len(live) >= 2:
+    if remaining and live:
         scored = _scored(net, remaining, e, set(o) | set(path) | {pick}, cfg)
-        below = _branch_terms(eng, net, pick, live, scored, e, o_rest, path)
+        below = _terms(eng, net, (pick,), live, scored, e, o_rest, path)
     branches = []
     for i, state in states:
         p = p_forced[i]

@@ -57,31 +57,35 @@ class QueryResult:
 # -- the query contract shared by ExactEngine and OracleEngine ------------------------
 
 
-def _check_roles(net: Network, **roles: Assignment | None) -> dict[str, dict[str, str]]:
-    """Each role's bindings validated, in declaration order; no variable is in two roles."""
+def _check_roles(
+    net: Network, free: Sequence[str] = (), **roles: Assignment | None
+) -> dict[str, dict[str, str]]:
+    """Each role's bindings validated, in declaration order.
+
+    The ``free`` variables (query targets and sources, a flow's source and
+    target, hypothesis variables) are declared and distinct, no variable is
+    bound in two roles or both free and bound, and an ``explanandum`` binds
+    at least one variable.
+    """
     out = {name: check_assignment(net, a) if a else {} for name, a in roles.items()}
+    if "explanandum" in out and not out["explanandum"]:
+        raise ValueError("explanandum must bind at least one variable")
     bound = [name for name in out if out[name]]
     if len(bound) > 1:
         for a, b in itertools.combinations(bound, 2):
             if not out[a].keys().isdisjoint(out[b]):
                 shared = ", ".join(sorted(set(out[a]) & set(out[b])))
                 raise ValueError(f"variables bound in both {a} and {b}: {shared}")
+    if free:
+        for v in free:
+            net.index(v)
+        if len(set(free)) < len(free):
+            raise ValueError(f"free variables repeat: {', '.join(free)}")
+        for name in bound:
+            if not out[name].keys().isdisjoint(free):
+                shared = ", ".join(sorted(set(out[name]).intersection(free)))
+                raise ValueError(f"free variables bound in {name}: {shared}")
     return out
-
-
-def _query_args(
-    net: Network, targets: Sequence[str], observed: Assignment | None, do: Assignment | None
-) -> tuple[dict[str, str], dict[str, str]]:
-    """Validated (observed, do) of a query; the targets are distinct, and
-    targets, observed and do are pairwise disjoint."""
-    observed, do = _check_roles(net, observed=observed, do=do).values()
-    if len(set(targets)) < len(targets):
-        raise ValueError(f"query targets repeat a variable: {', '.join(targets)}")
-    for t in targets:
-        net.index(t)
-        if t in observed or t in do:
-            raise ValueError(f"query target {t!r} is already bound")
-    return observed, do
 
 
 def _result(joint: fa.Factor, targets: Sequence[str]) -> QueryResult:
@@ -194,7 +198,8 @@ class ExactEngine:
         """
         with self._lock:
             self.calls += 1
-        observed, do = _query_args(net, (*sources, *targets), observed, do)
+        observed, do = _check_roles(net, (*sources, *targets), observed=observed,
+                                    do=do).values()
 
         relevant = set(sources)  # the walk stops at the sources
         stack = [*targets, *observed]

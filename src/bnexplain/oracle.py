@@ -23,7 +23,7 @@ import numpy as np
 
 from . import factors as fa
 from .errors import ImpossibleEvidenceError, OracleDivergenceError, StateSpaceError
-from .inference import ExactEngine, QueryResult, _probability, _query_args, _result
+from .inference import ExactEngine, QueryResult, _check_roles, _probability, _result
 from .network import Network, check_assignment, merge_assignments
 
 Assignment = Mapping[str, str]
@@ -148,7 +148,8 @@ class OracleEngine:
         sources, stacked along their axes."""
         with self._lock:
             self.calls += 1
-        observed, do = _query_args(net, (*sources, *targets), observed, do)
+        observed, do = _check_roles(net, (*sources, *targets), observed=observed,
+                                    do=do).values()
         if not sources:
             return _masked_sum(self._table(net, do), net, targets, observed)
         free = tuple(sorted(sources, key=net.index))

@@ -204,26 +204,39 @@ def test_oracle_check_compares_every_forced_joint_of_a_causal_tree(capsys, monke
     from bnexplain.inference import ExactEngine
     from bnexplain.oracle import CheckedEngine
 
-    asked, checked = [], []
+    asked, checked, inside = [], [], []
     exact, compare = ExactEngine._joint, CheckedEngine._joint
 
     def spy_exact(self, net, targets, observed=None, do=None, sources=()):
-        asked.append((tuple(sources), tuple(targets), bool(observed)))
+        asked.append(bool(inside))
         return exact(self, net, targets, observed, do, sources)
 
     def spy_checked(self, net, targets, observed=None, do=None, sources=()):
         checked.append((tuple(sources), tuple(targets), bool(observed)))
         return compare(self, net, targets, observed, do, sources)
 
+    def checking(method):  # marks the eliminations that a CheckedEngine method reaches
+        def spy(self, *args, **kwargs):
+            inside.append(method.__name__)
+            try:
+                return method(self, *args, **kwargs)
+            finally:
+                inside.pop()
+        return spy
+
     monkeypatch.setattr(ExactEngine, "_joint", spy_exact)
-    monkeypatch.setattr(CheckedEngine, "_joint", spy_checked)
+    monkeypatch.setattr(CheckedEngine, "_joint", checking(spy_checked))
+    monkeypatch.setattr(CheckedEngine, "query", checking(CheckedEngine.query))
+    monkeypatch.setattr(CheckedEngine, "probability", checking(CheckedEngine.probability))
     code, out, err = run(capsys, "cet", "--network", ASIA, "--explanandum", "Dyspnea=yes",
                          "--observe", "Smoker=yes", "--oracle-check")
     assert code == 0, err
     assert out.splitlines()[0] == "Bronchitis"
-    # queries, which CheckedEngine.query checks, are the eliminations without sources
-    assert [key for key in asked if key[0]] == checked
+    # no elimination bypasses the comparison with the oracle
+    assert asked and all(asked)
     assert all(observed for _, _, observed in checked)
+    # the root's p(x | o') is a joint without sources; the picks' joints have two
+    assert any(not sources for sources, _, _ in checked)
     assert any(len(sources) == 2 for sources, _, _ in checked)
 
 

@@ -650,13 +650,12 @@ class RecordingEngine(ExactEngine):
 
 def _assert_causal_sequence(keys, net, tree, hyp, observed, e):
     """The exact elimination sequence of a causal tree. After the prior's
-    queries, a node that gets no terms from its parent (the root, or a node
-    below a pick with one live branch) asks p(x | o', do(P)) and then the
-    joint with x free, per candidate x that reachability does not prune. A
-    pick with two or more live branches asks, for each candidate left that
-    is not pruned at its children, the joints over (pick, x) and over
-    (pick, x, e) with the pick free; its children ask nothing for their
-    terms. A pick that pruning scored zero asks its own joint."""
+    queries, the root asks p(x | o') and then the joint with x free, per
+    candidate x that reachability does not prune. A pick with a live branch
+    and candidates left asks, for each candidate that is not pruned at its
+    children, the joints over (pick, x) and over (pick, x, e) with the pick
+    free; its children ask nothing for their terms. A pick that pruning
+    scored zero asks its own joint."""
     hyp = [v.name for v in net.variables if v.name in hyp]
     events = tuple(v.name for v in net.variables if v.name in e)
     o = {k: v for k, v in observed.items() if k not in e}
@@ -670,31 +669,26 @@ def _assert_causal_sequence(keys, net, tree, hyp, observed, e):
     def scored(left, blocked):
         return [x for x in left if any(reachable(net, x, t, blocked) for t in e)]
 
-    def walk(node, left, o, path, given):
+    def walk(node, left, o, path):
         do = tuple(sorted(path.items()))
-        here = scored(left, set(o) | set(path))
-        if not given:
-            for x in here:
-                want.extend([((), (x,), without(o, x), do), ((x,), events, without(o, x), do)])
         if node.is_leaf():
             return
         pick = node.variable
         o_rest = {k: v for k, v in o.items() if k != pick}
-        if pick not in here:
+        if pick not in scored(left, set(o) | set(path)):
             want.append(((pick,), events, tuple(sorted(o_rest.items())), do))
         remaining = [v for v in left if v != pick]
         live = [b for b in node.branches if not b.pruned and b.label != float("-inf")]
-        batched = bool(remaining) and len(live) >= 2
-        if batched:
+        if remaining and live:
             for x in scored(remaining, set(o) | set(path) | {pick}):
                 rest = without(o_rest, x)
                 want.extend([((pick,), (x,), rest, do), ((pick, x), events, rest, do)])
-        for b in live:
-            if remaining:
-                walk(b.subtree, remaining, o_rest, {**path, pick: b.state}, batched)
+            for b in live:
+                walk(b.subtree, remaining, o_rest, {**path, pick: b.state})
 
-    if hyp:
-        walk(tree, hyp, o, {}, False)
+    for x in scored(hyp, set(o)):
+        want.extend([((), (x,), without(o, x), ()), ((x,), events, without(o, x), ())])
+    walk(tree, hyp, o, {})
     assert keys == want
 
 
@@ -742,7 +736,8 @@ NO_REPEAT_CASES = {
     "random-et": ("et", "random", RANDOM_HYP, {}, {"V7": "s1"}),
     "random-bf": ("bf", "random", RANDOM_HYP, {}, {"V7": "s1"}),
     "asia-et-beta": ("et", "asia", ASIA_HYP, {}, {"Dyspnea": "yes"}),
-    # do(A=a1) contradicts B=b0, so the root's pick has one live branch
+    # do(A=a1) contradicts B=b0, so the root's pick has one live branch, and
+    # its child still gets its terms from the pick's batch
     "copies-cet": ("cet", "copies", ["A", "X"], {"B": "b0"}, {"E": "e1"}),
 }
 # at beta 0.1, one asia node below the root has every branch at or below beta

@@ -243,13 +243,25 @@ def test_flows_match_oracle_flows(case, data):
 @st.composite
 def cet_cases(draw):
     """A network with one-hot rows, an explanandum, 1-3 hypothesis variables
-    and observations of other variables, optionally of one hypothesis variable."""
+    and observations of at most two other variables, optionally of one
+    hypothesis variable too.
+
+    The explanandum is the variable with the most ancestors, and the
+    hypothesis variables are drawn from its ancestors first, so that most
+    candidates have a causal path to it and picks often have a live branch
+    with candidates left to score.
+    """
     n_hyp = draw(st.sampled_from((1, 2, 3)))  # about evenly; st.integers favours 1
     net = draw(networks(zero_one=st.just(True), min_vars=n_hyp + 1))
-    names = draw(st.permutations([v.name for v in net.variables]))
-    hyp, rest = names[1:1 + n_hyp], names[1 + n_hyp:]
-    explanandum = {names[0]: draw(st.sampled_from(net.domain(names[0])))}
-    watched = [v for v in rest if draw(st.booleans())] + [hyp[0]] * draw(st.booleans())
+    names = [v.name for v in net.variables]
+    above = {t: [v for v in names if v != t and reachable(net, v, t)] for t in names}
+    target = max(names, key=lambda t: len(above[t]))
+    others = [v for v in names if v != target and v not in above[target]]
+    pool = draw(st.permutations(above[target])) + draw(st.permutations(others))
+    hyp, rest = pool[:n_hyp], pool[n_hyp:]
+    explanandum = {target: draw(st.sampled_from(net.domain(target)))}
+    watched = draw(st.lists(st.sampled_from(rest), unique=True, max_size=2)) if rest else []
+    watched += [hyp[0]] * draw(st.booleans())
     observed = {v: draw(st.sampled_from(net.domain(v))) for v in watched}
     return net, hyp, observed, explanandum
 
@@ -316,8 +328,8 @@ def _assert_same_causal_tree(got, want):
 def test_cet_labels_and_pruned_branches_match_oracle(case):
     """The tree's picks, pruned branches and labels are those of the tree
     grown by definition on the oracle, where every node asks for its own
-    flows; below a pick with two or more live branches the tree's children
-    instead get their terms from joints that keep the pick free."""
+    flows; the tree's children instead get their terms from joints that
+    keep the pick free."""
     net, hyp, observed, e = case
     want = _outcome(lambda: _reference_causal_tree(net, hyp, observed, e))
     got = _outcome(lambda: causal_explanation_tree(net, hyp, observed, e))

@@ -1,9 +1,11 @@
 """Every input rule of the public entry points, one row per rejected input.
 
 Each row names an entry point, an invalid input and the exception it must
-raise. The rules live in one place per layer (engine query arguments,
-probability roles, flow roles, explainer roles); this table pins what each
-public caller sees.
+raise. One rule, ``inference._check_roles``, validates the bindings of every
+role and keeps the free variables (query targets and sources, a flow's
+source and target, hypothesis variables) declared, distinct and unbound, on
+every engine, flow and explainer; this table pins what each public caller
+sees.
 """
 
 import pytest
@@ -12,6 +14,7 @@ from bnexplain import (
     CheckedEngine,
     Cpt,
     ExactEngine,
+    ImpossibleEvidenceError,
     Network,
     NetworkValidationError,
     OracleEngine,
@@ -94,6 +97,8 @@ REJECTIONS = [
      lambda n: interventional_probability(n, DYS, {"Dyspnea": "yes"}), ValueError),
     ("information-flow-source-intervened",
      lambda n: information_flow(n, "Smoker", "Dyspnea", {"Smoker": "yes"}), ValueError),
+    ("information-flow-target-observed",
+     lambda n: information_flow(n, "Smoker", "Dyspnea", None, {"Dyspnea": "yes"}), ValueError),
     ("flow-explanandum-observed",
      lambda n: flow_to_state(n, "Smoker", DYS, {"Dyspnea": "yes"}), ValueError),
     ("cet-explanandum-conflicts-observed",
@@ -117,6 +122,11 @@ REJECTIONS = [
      lambda n: pointwise_flow(n, "Smoker", "yes", DYS, None, {"Smoker": "yes"}), ValueError),
     ("information-flow-source-is-target",
      lambda n: information_flow(n, "Smoker", "Smoker"), ValueError),
+    # observations of probability zero: TbOrCa is the deterministic OR of
+    # Tuberculosis and LungCancer
+    ("pointwise-impossible-observed-rest",
+     lambda n: pointwise_flow(n, "Smoker", "yes", DYS, {"TbOrCa": "no", "Tuberculosis": "yes"}),
+     ImpossibleEvidenceError),
     # conditional mutual information needs two distinct, unobserved variables
     ("cmi-same-variable", lambda n: conditional_mutual_information(n, "Smoker", "Smoker"), ValueError),
     ("cmi-variable-in-context",
