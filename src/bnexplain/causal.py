@@ -12,8 +12,10 @@ replaced by ones and the source stays free (the regime-indicator view of an
 intervention), whose row s is p(target, observed | do, source=s). Both
 joints may keep picks free next to the source: a causal-tree node that
 keeps its pick free gets, in the same two eliminations, a candidate's terms
-under every forced state of the pick, one per branch. :func:`_terms` asks
-them for the public flows, with no pick, and for every causal-tree node.
+under every forced state of the pick, one per branch. :func:`_forced` is
+the one place that asks for such a joint and splits it into its rows;
+:func:`_terms` asks through it for the flows to a state, with no pick, and
+for every causal-tree node.
 """
 
 from __future__ import annotations
@@ -28,21 +30,24 @@ from .network import Network
 Assignment = Mapping[str, str]
 
 
-def _forced(eng, net, source, targets, o, d) -> list:
-    """p(targets | o, do(d, source=s)) for every state s of the source, from one
-    elimination: an array over ``targets`` in declaration order, or None where
-    p(o | do(d, source=s)) is zero, that is, where forcing s contradicts o.
+def _forced(eng, net, sources, targets, o, d, *, normalise=None) -> list:
+    """p(targets | o, do(d, sources=s)) for every joint state s of the sources,
+    in C order over ``sources`` as given, from one elimination: an array over
+    ``targets`` in declaration order, or None where p(o | do(d, sources=s)) is
+    zero, that is, where forcing s contradicts o.
 
-    As in ``probability``, p(o | do(d, source=s)) is divided out only when o
-    binds a variable, and no cell exceeds one.
+    As in ``probability``, a row is divided by its mass, p(o | do(d,
+    sources=s)), only when o binds a variable, unless ``normalise`` says
+    otherwise; no cell exceeds one. With no sources there is one row.
     """
-    return _split(eng._joint(net, targets, o, d, (source,)), (source,), normalise=bool(o))
+    return _split(eng._joint(net, targets, o, d, sources), sources,
+                  bool(o) if normalise is None else normalise)
 
 
-def _forced_event(eng, net, source, e, o, d) -> list[float | None]:
-    """p(e | o, do(d, source=s)) for every state s of the source, as :func:`_forced`."""
+def _forced_event(eng, net, sources, e, o, d) -> list[float | None]:
+    """p(e | o, do(d, sources=s)) for every joint state s of the sources, as :func:`_forced`."""
     cell = tuple(net.state_index(v, s) for v, s in e.items())  # e is validated: declaration order
-    rows = _forced(eng, net, source, tuple(e), o, d)
+    rows = _forced(eng, net, sources, tuple(e), o, d)
     return [None if row is None else float(row[cell]) for row in rows]
 
 
@@ -65,17 +70,16 @@ def _terms(eng, net, picks, live, candidates, e, o, d) -> dict[int, dict]:
     Raises:
         ImpossibleEvidenceError: a live row of p(x | o', do) has no mass.
     """
-    cell = tuple(net.state_index(v, s) for v, s in e.items())  # e is validated: declaration order
     terms: dict[int, dict] = {i: {} for i in live}
     for x in candidates:
         rest = {k: v for k, v in o.items() if k != x}
-        p_x = _split(eng._joint(net, (x,), rest, d, picks), picks)
-        forced = _split(eng._joint(net, tuple(e), rest, d, (*picks, x)), (*picks, x), bool(rest))
+        p_x = _forced(eng, net, picks, (x,), rest, d, normalise=True)  # a distribution over x
+        forced = _forced_event(eng, net, (*picks, x), e, rest, d)
         n = len(net.domain(x))
         for i in live:
             if p_x[i] is None:
                 raise ImpossibleEvidenceError("conditioning event has probability zero")
-            p_e_forced = [None if r is None else float(r[cell]) for r in forced[i * n:(i + 1) * n]]
+            p_e_forced = forced[i * n:(i + 1) * n]
             terms[i][x] = (p_x[i], p_e_forced, _mixture(p_x[i], p_e_forced))
     return terms
 
@@ -127,13 +131,12 @@ def information_flow(
     distributions are conditioned on ``observed`` and post-``do``. Zero iff no
     directed source-to-target path avoids the intervened (and observed)
     variables, for faithful distributions. A deterministic binary copy of the
-    source scores exactly one bit.
+    source scores exactly one bit. The engine checks the roles: the source
+    and target are distinct, and neither is observed or intervened on.
     """
-    d, o = _check_roles(net, (source, target), do=do, observed=observed).values()
     eng = _engine(engine)
-
-    p_source = eng.query(net, (source,), o, d).distribution.values
-    p_target = _forced(eng, net, source, (target,), o, d)
+    p_source = eng.query(net, (source,), observed, do).distribution.values
+    p_target = _forced(eng, net, (source,), (target,), observed, do)
     mixture = _mixture(p_source, p_target)
 
     total = 0.0

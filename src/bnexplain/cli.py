@@ -190,8 +190,7 @@ def _emit_ranking(args, ranking) -> None:
 # -- handlers ----------------------------------------------------------------------
 
 
-def _run_cet(args) -> int:
-    net = load_network(args.network)
+def _run_cet(args, net: Network) -> int:
     explanandum = _parse_bindings(net, args.explanandum, "--explanandum")
     observed = _parse_bindings(net, args.observe, "--observe")
     hypothesis = _hypothesis_set(net, args, explanandum, observed)
@@ -208,8 +207,7 @@ def _run_cet(args) -> int:
     return 0
 
 
-def _run_et(args) -> int:
-    net = load_network(args.network)
+def _run_et(args, net: Network) -> int:
     explanandum = _parse_bindings(net, args.explanandum, "--explanandum", nonempty=True)
     observed = _parse_bindings(net, args.observe, "--observe")
     conditioning = merge_assignments(explanandum, observed)
@@ -227,10 +225,9 @@ def _run_et(args) -> int:
     return 0
 
 
-def _run_mpe(args) -> int:
-    net = load_network(args.network)
+def _run_mpe(args, net: Network) -> int:
     evidence = _parse_bindings(net, args.evidence, "--evidence", nonempty=True)
-    ranking = mpe_explanation(net, evidence)
+    ranking = mpe_explanation(net, evidence, engine=_engine_for(args))
     if args.oracle_check:
         want, want_p = oracle_mpe(net, evidence)
         entry = ranking.entries[0]
@@ -243,8 +240,7 @@ def _run_mpe(args) -> int:
     return 0
 
 
-def _run_bf(args) -> int:
-    net = load_network(args.network)
+def _run_bf(args, net: Network) -> int:
     explanandum = _parse_bindings(net, args.explanandum, "--explanandum")
     hypothesis = _hypothesis_set(net, args, explanandum)
     size = args.max_subset_size
@@ -258,8 +254,7 @@ def _run_bf(args) -> int:
     return 0
 
 
-def _run_query(args) -> int:
-    net = load_network(args.network)
+def _run_query(args, net: Network) -> int:
     event = _parse_bindings(net, args.event, "--event", nonempty=True)
     observed = _parse_bindings(net, args.observe, "--observe")
     do = _parse_bindings(net, args.do, "--do")
@@ -275,8 +270,7 @@ def _run_query(args) -> int:
     return 0
 
 
-def _run_validate(args) -> int:
-    net = load_network(args.network)
+def _run_validate(args, net: Network) -> int:
     sys.stdout.write(
         f"{args.network}: OK ({len(net.variables)} variables, {len(net.edges)} edges)\n"
     )
@@ -290,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        return args.handler(args, load_network(args.network))
     except UsageError as exc:
         print(f"bnexplain: error: {exc}", file=sys.stderr)
         return 1

@@ -169,12 +169,13 @@ def _argmax(candidates: Iterable[str], scores: Mapping[str, float]) -> str:
     """Earliest candidate (declaration order) whose score ties the maximum.
 
     Scores within 1e-12 * max(1, |max|) of the maximum count as tied, so that
-    rounding noise from the elimination order cannot decide between them.
+    rounding noise from the elimination order cannot decide between them; an
+    infinite maximum ties only with itself.
     """
     candidates = list(candidates)
     best = max(scores[v] for v in candidates)
     slack = _ROUNDING_SLACK * max(1.0, abs(best))
-    return next(v for v in candidates if scores[v] >= best - slack)
+    return next(v for v in candidates if scores[v] == best or scores[v] >= best - slack)
 
 
 # -- causal explanation trees -----------------------------------------------------
@@ -252,7 +253,7 @@ def _grow_causal(net, hyp, o, e, path, p_e, prior, cfg, eng, terms) -> Explanati
         return LEAF
 
     o_rest = {k: v for k, v in o.items() if k != pick}
-    p_forced = terms[pick][1] if pick in terms else _forced_event(eng, net, pick, e, o_rest, path)
+    p_forced = terms[pick][1] if pick in terms else _forced_event(eng, net, (pick,), e, o_rest, path)
     remaining = tuple(v for v in hyp if v != pick)
     if pick in o:
         states = [(net.state_index(pick, o[pick]), o[pick])]
@@ -309,18 +310,19 @@ def explanation_tree(
     Branch labels are the path posterior p(path, state | e). The root asks
     one query per pair of hypothesis variables (one marginal for a single
     variable), and every later table comes from its parent; see
-    :func:`_grow_noncausal`.
+    :func:`_grow_noncausal`. A bare leaf (``beta`` at one, or no hypothesis
+    variable) asks p(explanandum) alone.
 
     Raises:
-        ImpossibleEvidenceError: p(explanandum) is zero.
+        ImpossibleEvidenceError: p(explanandum) is zero; the root's first
+            query, or the bare leaf's p(explanandum), finds it.
     """
     cfg = config or ExplainerConfig()
     eng = _engine(engine)
     hyp, e = _explainer_roles(net, hypothesis, explanandum)
-
-    if eng.probability(net, e) <= 0.0:
-        raise ImpossibleEvidenceError("explanandum has probability zero")
     if cfg.beta >= 1.0 or not hyp:  # the empty path has posterior exactly 1
+        if eng.probability(net, e) <= 0.0:
+            raise ImpossibleEvidenceError("explanandum has probability zero")
         return LEAF
     keys = list(itertools.combinations(hyp, 2)) or [hyp]
     tables = {key: eng.query(net, key, e).distribution.values for key in keys}
@@ -419,7 +421,8 @@ def bayes_factor_search(
     the top_k cut.
 
     Raises:
-        ImpossibleEvidenceError: p(explanandum) is zero.
+        ImpossibleEvidenceError: p(explanandum) is zero; the first posterior
+            table finds it.
     """
     cfg = config or ExplainerConfig()
     eng = _engine(engine)
@@ -428,8 +431,6 @@ def bayes_factor_search(
         raise ValueError(
             f"max_subset_size {cfg.max_subset_size} exceeds the {len(hyp)} hypothesis variables"
         )
-    if eng.probability(net, e) <= 0.0:
-        raise ImpossibleEvidenceError("explanandum has probability zero")
 
     scored: list[tuple[frozenset[str], Explanation]] = []
     skipped = 0
@@ -490,16 +491,15 @@ def best_explanation(tree: ExplanationTree, method: str) -> tuple[dict[str, str]
     ``"cet"`` it maximizes the final branch's log-ratio contribution. Pruned
     paths are excluded. A bare leaf yields the empty explanation with the
     neutral score (posterior 1 for "et", contribution 0 for "cet"). Ties go
-    to the lexicographically smallest assignment.
+    to the first path in :func:`iter_paths` order, that is in branch state
+    order, and labels within 1e-12 * max(1, |best|) of the best tie, as in
+    :func:`_argmax`.
     """
     if method not in ("cet", "et"):
         raise ValueError(f"method must be 'cet' or 'et', got {method!r}")
-    best: tuple[tuple[tuple[str, str], ...], float] | None = None
-    for pairs, label, pruned in iter_paths(tree):
-        if pruned or label is None:
-            continue
-        if best is None or label > best[1] or (label == best[1] and pairs < best[0]):
-            best = (pairs, label)
-    if best is None:
+    paths = [(pairs, label) for pairs, label, pruned in iter_paths(tree)
+             if not pruned and label is not None]
+    if not paths:
         return {}, (0.0 if method == "cet" else 1.0)
-    return dict(best[0]), best[1]
+    pairs, label = paths[_argmax(range(len(paths)), [label for _, label in paths])]
+    return dict(pairs), label

@@ -294,9 +294,9 @@ def conditional_mutual_information(
 
     Computed from the exact posterior joint of (x, y); zero-probability cells
     contribute zero. Symmetric in x and y; rounding noise below 0 is clamped.
+    The engine's role check rejects x equal to y, or either bound in the
+    context.
     """
-    if x == y:
-        raise ValueError("mutual information needs two distinct variables")
     qr = _engine(engine).query(net, (x, y), context)
     values = qr.distribution.values
     if qr.distribution.scope[0] != x:
@@ -325,9 +325,19 @@ def mpe(
     """Most probable completion of the unobserved variables given evidence.
 
     Runs max-product elimination in reverse declaration order and tracks the
-    per-variable argmax tables, so the traceback yields the completion that is
-    lexicographically smallest (by declaration order, then state order) among
-    all maximizers. Returns the completion and its posterior probability.
+    per-variable argmax tables. The traceback then fixes the free variables in
+    declaration order, each to its first state (in state order) whose
+    max-product value, as the elimination computes it in floating point, is
+    the largest given the states fixed before it. Among maximizers whose
+    scores the elimination computes bit-equal, the completion is therefore
+    the lexicographically smallest (by declaration order, then state order);
+    between maximizers whose exact scores tie but whose computed scores
+    differ by rounding, the larger computed score wins, whatever the order.
+    On academe with evidence FinalMark=pass, Other=negative this returns
+    Theory=good, Practice=average, although Theory=average, Practice=good
+    comes first and scores the same (ROADMAP item 4; the strict xfail
+    ``test_mpe_oracle_check_accepts_tied_maximisers`` in ``bench/tests``).
+    Returns the completion and its posterior probability.
     """
     p_evidence = _engine(engine).query(net, (), evidence).evidence_probability
     if p_evidence <= 0.0:

@@ -8,6 +8,7 @@ from bnexplain.datasets import network_path
 DRUG = str(network_path("drug"))
 ASIA = str(network_path("asia"))
 ACADEME = str(network_path("academe"))
+REC_E = {"Recovery": "rec"}
 
 CYCLIC = """{
   "name": "cyclic",
@@ -261,9 +262,8 @@ def test_oracle_check_compares_every_query_of_a_noncausal_tree(capsys, monkeypat
                          "--oracle-check")
     assert code == 0, err
     assert out.splitlines()[0] == "TbOrCa"
-    # only p(e)'s evidence-mass query, which CheckedEngine.probability checks, has no target
-    targeted = [t for t in asked if t]
-    assert targeted == checked
+    # the tree asks no p(e): every query has targets and is compared with the oracle
+    assert asked == checked and all(asked)
     assert any(len(t) == 3 for t in checked) and max(map(len, checked)) == 3
 
 
@@ -285,6 +285,90 @@ def test_oracle_divergence_exits_4(capsys, monkeypatch):
                          "--oracle-check")
     assert code == 4
     assert "oracle" in err
+
+
+def test_mpe_oracle_check_checks_the_evidence_through_checked_engine(capsys, monkeypatch):
+    from bnexplain.errors import OracleDivergenceError
+
+    class Rigged:
+        def query(self, *args, **kwargs):
+            raise OracleDivergenceError("rigged for testing")
+
+    monkeypatch.setattr(cli, "CheckedEngine", Rigged)
+    code, out, err = run(capsys, "mpe", "--network", DRUG, "--evidence", "Recovery=rec",
+                         "--oracle-check")
+    assert (code, out) == (4, "")
+    assert "rigged for testing" in err
+
+
+def test_mpe_oracle_check_exits_4_when_enumeration_disagrees(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "oracle_mpe", lambda net, evidence: ({"Sex": "f", "Drug": "no"}, 0.5))
+    code, out, err = run(capsys, "mpe", "--network", DRUG, "--evidence", "Recovery=rec",
+                         "--oracle-check")
+    assert (code, out) == (4, "")
+    assert err.startswith("bnexplain: oracle cross-check failed: mpe diverges from enumeration")
+
+
+@pytest.mark.parametrize("argv", [
+    ("bf", "--network", DRUG, "--explanandum", "Recovery=rec"),
+    ("mpe", "--network", DRUG, "--evidence", "Recovery=rec"),
+])
+def test_rankings_print_as_json(capsys, argv):
+    from bnexplain import bayes_factor_search, load_network, mpe_explanation
+    from bnexplain.render import ranking_to_json_obj, to_json_text
+
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    drug = load_network(DRUG)
+    if argv[0] == "bf":
+        ranking = bayes_factor_search(drug, ["Sex", "Drug"], REC_E)
+    else:
+        ranking = mpe_explanation(drug, REC_E)
+    assert out == to_json_text(ranking_to_json_obj(ranking))
+    assert json.loads(out)["entries"][0]["assignment"]["Sex"] == "m"
+
+
+@pytest.mark.parametrize("command, alpha", [("cet", "0"), ("et", "0.02")])
+def test_trees_print_as_dot(capsys, command, alpha):
+    from bnexplain import (
+        ExplainerConfig, causal_explanation_tree, explanation_tree, load_network,
+    )
+    from bnexplain.render import tree_to_dot
+
+    code, out, err = run(capsys, command, "--network", DRUG, "--explanandum", "Recovery=rec",
+                         "--alpha", alpha, "--format", "dot")
+    assert code == 0, err
+    drug, config = load_network(DRUG), ExplainerConfig(alpha=float(alpha))
+    if command == "cet":
+        tree = causal_explanation_tree(drug, ["Sex", "Drug"], {}, REC_E, config)
+    else:
+        tree = explanation_tree(drug, ["Sex", "Drug"], REC_E, config)
+    assert out == tree_to_dot(tree)
+    assert out.startswith("digraph explanation_tree {\n  n0 [label=")
+
+
+def test_unknown_hypothesis_exits_1(capsys):
+    code, out, err = run(capsys, "cet", "--network", DRUG, "--explanandum", "Recovery=rec",
+                         "--hypothesis", "Sex,Ghost")
+    assert (code, out) == (1, "")
+    assert err == "bnexplain: error: --hypothesis: unknown variable 'Ghost'\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import bnexplain
+
+    # the child imports the package from where this process found it
+    where = str(Path(bnexplain.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([where, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "bnexplain", "validate", "--network", DRUG],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, f"{DRUG}: OK (3 variables, 3 edges)\n", "")
 
 
 def test_help_exits_0(capsys):

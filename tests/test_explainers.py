@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from bnexplain import (
+    Branch,
     Cpt,
     ExactEngine,
     ExplainerConfig,
+    ExplanationTree,
     ImpossibleEvidenceError,
     Network,
     Variable,
@@ -605,6 +607,42 @@ def test_best_explanation_empty_et_tree(drug):
     assert best_explanation(tree, "et") == ({}, 1.0)
 
 
+def test_best_explanation_of_the_quick_start_tree_keeps_state_order(asia):
+    """The README's quick start: {LungCancer: yes} and {LungCancer: no,
+    Tuberculosis: yes} both score 3.1514792383657464. The first path in state
+    order wins, although "no" sorts before "yes" as a string."""
+    hyp = [v.name for v in asia.variables if v.name not in ("X-ray", "TbOrCa")]
+    tree = causal_explanation_tree(asia, hyp, {}, {"X-ray": "abnormal"},
+                                   ExplainerConfig(alpha=0.01))
+    labels = {pairs: label for pairs, label, _ in iter_paths(tree)}
+    tied = (("LungCancer", "no"), ("Tuberculosis", "yes"))
+    assert labels[(("LungCancer", "yes"),)] == labels[tied]
+    assert best_explanation(tree, "cet") == ({"LungCancer": "yes"}, 3.1514792383657464)
+
+
+def test_best_explanation_ties_go_to_the_first_path_in_state_order():
+    """States "z" then "a": string order is the reverse of domain order. A
+    label one part in 1e13 above another ties with it; a pruned branch, even
+    with a higher label, never wins."""
+    def leaf(state, label, pruned=False):
+        return Branch(state, label, ExplanationTree(), pruned)
+
+    exact = ExplanationTree("A", (leaf("z", 0.5), leaf("a", 0.5)))
+    assert best_explanation(exact, "et") == ({"A": "z"}, 0.5)
+    near = ExplanationTree("A", (leaf("z", 0.5), leaf("a", 0.5 + 5e-14)))
+    assert best_explanation(near, "cet") == ({"A": "z"}, 0.5)
+    apart = ExplanationTree("A", (leaf("z", 0.5), leaf("a", 0.5 + 1e-9)))
+    assert best_explanation(apart, "cet") == ({"A": "a"}, 0.5 + 1e-9)
+    nested = ExplanationTree("A", (
+        Branch("z", 0.1, ExplanationTree("B", (leaf("y", -2.0), leaf("x", 3.0)))),
+        leaf("a", 3.0),
+        leaf("c", 9.0, pruned=True),
+    ))
+    assert best_explanation(nested, "cet") == ({"A": "z", "B": "x"}, 3.0)
+    infinite = ExplanationTree("A", (leaf("z", 3.0), leaf("a", math.inf), leaf("b", math.inf)))
+    assert best_explanation(infinite, "cet") == ({"A": "a"}, math.inf)
+
+
 def test_cet_on_multistate_network(academe):
     # Theory and Practice play symmetric roles in the marks network, so their
     # flows tie exactly and declaration order decides the root; the causal
@@ -693,8 +731,9 @@ def _assert_causal_sequence(keys, net, tree, hyp, observed, e):
 
 
 def _assert_pairs_at_the_root_then_triples(keys, net, tree, hyp, e, beta):
-    """After p(e), the root asks one query per pair of hypothesis variables
-    (one marginal for a single variable). Every later query is
+    """The root asks one query per pair of hypothesis variables (one marginal
+    for a single variable), and no p(e): its first query raises on impossible
+    evidence. Every later query is
     p(pick, y, z | e, P), one per pair (y, z) of the variables left below a
     pick at path P, asked in the pick's node before its children's and only
     when one of its branches has label > beta. Returns the number of nodes
@@ -702,7 +741,7 @@ def _assert_pairs_at_the_root_then_triples(keys, net, tree, hyp, e, beta):
     hyp = [v.name for v in net.variables if v.name in hyp]
     at_e = tuple(sorted(e.items()))
     root = list(itertools.combinations(hyp, 2)) or [tuple(hyp)]
-    want = [((), (), at_e, ())] + [((), pair, at_e, ()) for pair in root]
+    want = [((), pair, at_e, ()) for pair in root]
     stopped = 0
 
     def walk(node, path):
@@ -765,7 +804,7 @@ def test_no_explainer_call_repeats_an_engine_query(request, net_factory, name):
     else:
         bayes_factor_search(net, hyp, e, cfg, engine=eng)
         subsets = len(hyp) + math.comb(len(hyp), 2)
-        assert len(eng.keys) == 1 + 2 * subsets  # p(e), then a prior and a posterior table each
+        assert len(eng.keys) == 2 * subsets  # a prior and a posterior table each, and no p(e)
     repeats = {k: n for k, n in collections.Counter(eng.keys).items() if n > 1}
     assert not repeats
 

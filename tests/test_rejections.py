@@ -5,8 +5,11 @@ raise. One rule, ``inference._check_roles``, validates the bindings of every
 role and keeps the free variables (query targets and sources, a flow's
 source and target, hypothesis variables) declared, distinct and unbound, on
 every engine, flow and explainer; this table pins what each public caller
-sees.
+sees. Network files and networks have their own rules
+(``fileformat.parse_network``, ``Network``), pinned the same way.
 """
+
+import json
 
 import pytest
 
@@ -16,6 +19,7 @@ from bnexplain import (
     ExactEngine,
     ImpossibleEvidenceError,
     Network,
+    NetworkFormatError,
     NetworkValidationError,
     OracleEngine,
     Variable,
@@ -28,10 +32,35 @@ from bnexplain import (
     interventional_probability,
     mpe,
     oracle_event_probability,
+    oracle_mpe,
+    parse_network,
     pointwise_flow,
+    reachable,
 )
+from bnexplain.datasets import network_path
 
 DYS = {"Dyspnea": "yes"}
+BINARY = ("t", "f")
+
+
+def _file(**fields) -> str:
+    """A one-variable network file, with ``fields`` replacing its top-level keys."""
+    doc = {"name": "one", "variables": [{"name": "A", "states": list(BINARY)}],
+           "cpts": {"A": {"parents": [], "table": [[0.5, 0.5]]}}}
+    return json.dumps({**doc, **fields})
+
+
+def _cpt_file(**fields) -> str:
+    """:func:`_file` whose CPT of A has ``fields`` replacing its keys."""
+    return _file(cpts={"A": {"parents": [], "table": [[0.5, 0.5]], **fields}})
+
+
+def _network(name="A", states=BINARY, parents=(), table=((0.5, 0.5),)) -> Network:
+    """Network of a root B and a variable ``name``, whose CPT has ``parents`` and ``table``."""
+    variables = [Variable("B", BINARY), Variable(name, states)]
+    return Network(variables, {"B": Cpt("B", (), ((0.5, 0.5),)),
+                               name: Cpt(name, tuple(parents), tuple(table))})
+
 
 REJECTIONS = [
     # unknown variable or state
@@ -139,6 +168,47 @@ REJECTIONS = [
      lambda n: OracleEngine().probability(n, {"Smoker": "yes"}, {"Smoker": "no"}), ValueError),
     ("checked-conflicting-event-observed",
      lambda n: CheckedEngine().probability(n, {"Smoker": "yes"}, {"Smoker": "no"}), ValueError),
+    # forcing the known state contradicts the other observations: do(Tuberculosis=yes)
+    # makes TbOrCa=yes
+    ("pointwise-forced-state-contradicts-observed",
+     lambda n: pointwise_flow(n, "Tuberculosis", "yes", DYS, {"TbOrCa": "no"}),
+     ImpossibleEvidenceError),
+    ("oracle-mpe-impossible-evidence",
+     lambda n: oracle_mpe(n, {"TbOrCa": "no", "Tuberculosis": "yes"}), ImpossibleEvidenceError),
+    # graph and dataset lookups
+    ("reachable-source-is-target", lambda n: reachable(n, "Smoker", "Smoker"), ValueError),
+    ("network-path-unknown-name", lambda n: network_path("ghost"), ValueError),
+    # network files of the wrong shape
+    ("file-not-an-object", lambda n: parse_network("[]"), NetworkFormatError),
+    ("file-name-not-a-string", lambda n: parse_network(_file(name=1)), NetworkFormatError),
+    ("file-variables-missing", lambda n: parse_network(_file(variables=None)), NetworkFormatError),
+    ("file-cpts-missing", lambda n: parse_network(_file(cpts=[])), NetworkFormatError),
+    ("file-variable-without-name",
+     lambda n: parse_network(_file(variables=[{"states": list(BINARY)}])), NetworkFormatError),
+    ("file-states-not-strings",
+     lambda n: parse_network(_file(variables=[{"name": "A", "states": [1, 2]}])),
+     NetworkFormatError),
+    ("file-cpt-not-an-object", lambda n: parse_network(_file(cpts={"A": [[0.5, 0.5]]})),
+     NetworkFormatError),
+    ("file-parents-not-a-list", lambda n: parse_network(_cpt_file(parents="B")),
+     NetworkFormatError),
+    ("file-table-not-rows", lambda n: parse_network(_cpt_file(table=[0.5, 0.5])),
+     NetworkFormatError),
+    ("file-entry-not-a-number", lambda n: parse_network(_cpt_file(table=[["0.5", 0.5]])),
+     NetworkFormatError),
+    ("file-entry-boolean", lambda n: parse_network(_cpt_file(table=[[True, False]])),
+     NetworkFormatError),
+    # labels and CPTs that a network rejects
+    ("label-not-a-string", lambda n: _network(name=1), NetworkValidationError),
+    ("label-empty", lambda n: _network(states=("", "f")), NetworkValidationError),
+    ("label-surrounding-whitespace", lambda n: _network(name=" A"), NetworkValidationError),
+    ("label-with-equals", lambda n: _network(states=("t=1", "f")), NetworkValidationError),
+    ("label-with-comma", lambda n: _network(name="A,C"), NetworkValidationError),
+    ("cpt-repeated-parent",
+     lambda n: _network(parents=("B", "B"), table=((0.5, 0.5),) * 4), NetworkValidationError),
+    ("cpt-short-row", lambda n: _network(table=((1.0,),)), NetworkValidationError),
+    ("cpt-entry-outside-unit-interval", lambda n: _network(table=((1.5, -0.5),)),
+     NetworkValidationError),
 ]
 
 
@@ -147,6 +217,13 @@ REJECTIONS = [
 def test_rejected_input(asia, call, error):
     with pytest.raises(error):
         call(asia)
+
+
+def test_oracle_mpe_of_fully_bound_evidence_is_empty(asia):
+    evidence = {"VisitAsia": "no", "Tuberculosis": "no", "Smoker": "yes", "LungCancer": "no",
+                "TbOrCa": "no", "X-ray": "normal", "Bronchitis": "yes", "Dyspnea": "yes"}
+    assert set(evidence) == {v.name for v in asia.variables}
+    assert oracle_mpe(asia, evidence) == ({}, 1.0)
 
 
 def _certain_given_z() -> Network:

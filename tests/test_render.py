@@ -10,6 +10,7 @@ from bnexplain import (
     ExplanationTree,
     Network,
     Variable,
+    bayes_factor_search,
     causal_explanation_tree,
     explanation_tree,
     mpe_explanation,
@@ -132,3 +133,12 @@ def test_ranking_renderers(drug):
     assert obj["score_kind"] == "posterior_probability"
     assert obj["entries"][0]["assignment"] == {"Sex": "m", "Drug": "yes"}
     assert obj["entries"][0]["score"] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_ranking_text_counts_skipped_degenerate_hypotheses():
+    variables = [Variable("A", ("t", "f")), Variable("E", ("t", "f"))]
+    cpts = {"A": Cpt("A", (), ((1.0, 0.0),)),
+            "E": Cpt("E", ("A",), ((0.7, 0.3), (0.2, 0.8)))}
+    ranking = bayes_factor_search(Network(variables, cpts), ["A"], {"E": "t"},
+                                  ExplainerConfig(max_subset_size=1))
+    assert ranking_to_text(ranking) == "(skipped 2 degenerate hypotheses)\n"
