@@ -420,9 +420,17 @@ def bayes_factor_search(
     keeps one entry per variable subset, namely its best assignment, before
     the top_k cut.
 
+    The engine is asked one table per subset S of size ``max_subset_size``,
+    in combination order: the joint of S and the explanandum's variables,
+    with no observations. Each subset, smaller ones included, is summed out
+    of the first table that holds it. Its prior p(h) is that marginal over
+    the subset divided by its own sum, so that a certain prior is exactly
+    one; its posterior p(h | e) is the slice at the explanandum divided by
+    the slice's mass.
+
     Raises:
-        ImpossibleEvidenceError: p(explanandum) is zero; the first posterior
-            table finds it.
+        ImpossibleEvidenceError: p(explanandum) is zero; the first table's
+            slice at the explanandum has no mass.
     """
     cfg = config or ExplainerConfig()
     eng = _engine(engine)
@@ -432,12 +440,28 @@ def bayes_factor_search(
             f"max_subset_size {cfg.max_subset_size} exceeds the {len(hyp)} hypothesis variables"
         )
 
+    # one table p(S, E) per subset S of the largest size, E the explanandum's
+    # variables, kept as p(S) and p(S, e) with axes in the order of S
+    tables = []
+    for big in itertools.combinations(hyp, cfg.max_subset_size):
+        joint = eng.query(net, (*big, *e)).distribution
+        axes = tuple(i for i, v in enumerate(joint.scope) if v in e)
+        at_e = tuple(net.state_index(v, e[v]) if v in e else slice(None) for v in joint.scope)
+        tables.append((big, joint.values.sum(axis=axes), joint.values[at_e]))
+
     scored: list[tuple[frozenset[str], Explanation]] = []
     skipped = 0
     for size in range(1, cfg.max_subset_size + 1):
         for subset in itertools.combinations(hyp, size):
-            priors = eng.query(net, subset).distribution.values.ravel().tolist()
-            posteriors = eng.query(net, subset, e).distribution.values.ravel().tolist()
+            big, p_h, p_he = next(t for t in tables if set(subset) <= set(t[0]))
+            other = tuple(i for i, v in enumerate(big) if v not in subset)
+            p_h, p_he = p_h.sum(axis=other), p_he.sum(axis=other)
+            mass = p_he.sum()
+            if mass <= 0.0:
+                raise ImpossibleEvidenceError("conditioning event has probability zero")
+            # the prior is divided by its own sum, not the table's, so a certain one is exactly 1
+            priors = (p_h / p_h.sum()).ravel().tolist()
+            posteriors = (p_he / mass).ravel().tolist()
             assignments = itertools.product(*(net.domain(v) for v in subset))  # C order, as ravel
             for states, prior, posterior in zip(assignments, priors, posteriors):
                 if prior <= 0.0 or prior >= 1.0:

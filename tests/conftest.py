@@ -1,9 +1,21 @@
 import itertools
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bnexplain
 from bnexplain import Cpt, Network, Variable, datasets, oracle_information_flow, reachable
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """This process's environment, with ``extra``, for a child that runs
+    ``python -m bnexplain``: the child imports the package from where this
+    process found it, also when only pytest's ``pythonpath`` put it there."""
+    where = str(Path(bnexplain.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [where, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, **extra, "PYTHONPATH": path}
 
 
 @pytest.fixture(scope="session")

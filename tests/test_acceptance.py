@@ -36,7 +36,7 @@ from bnexplain import (
 )
 from bnexplain.datasets import network_path
 
-from conftest import make_chain
+from conftest import child_env, make_chain
 from test_causal import copy_child_net
 
 
@@ -346,14 +346,12 @@ def test_acceptance_9_cli_determinism(tmp_path):
             (["bf", "--network", drug, "--explanandum", "Recovery=rec", "--format", "json"], 0),
             (["cet", "--network", drug, "--explanandum", "Recovery=rec", "--format", "dot"], 0),
         ]
-        import os
-
         for argv, expected_code in examples:
             runs = []
             for hashseed in ("0", "42"):  # also rules out hash-order effects
-                env = dict(os.environ, PYTHONHASHSEED=hashseed)
                 runs.append(subprocess.run([sys.executable, "-m", "bnexplain", *argv],
-                                           capture_output=True, timeout=120, env=env))
+                                           capture_output=True, timeout=120,
+                                           env=child_env(PYTHONHASHSEED=hashseed)))
             for r in runs:
                 assert r.returncode == expected_code, (argv, r.returncode, r.stderr)
             assert runs[0].stdout == runs[1].stdout, argv

@@ -355,18 +355,13 @@ def test_unknown_hypothesis_exits_1(capsys):
 
 
 def test_python_dash_m_runs_the_cli():
-    import os
     import subprocess
     import sys
-    from pathlib import Path
 
-    import bnexplain
+    from conftest import child_env
 
-    # the child imports the package from where this process found it
-    where = str(Path(bnexplain.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([where, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-m", "bnexplain", "validate", "--network", DRUG],
-                          capture_output=True, text=True, timeout=120, env=env)
+                          capture_output=True, text=True, timeout=120, env=child_env())
     assert (done.returncode, done.stdout, done.stderr) == (
         0, f"{DRUG}: OK (3 variables, 3 edges)\n", "")
 
@@ -381,6 +376,8 @@ def test_repeated_in_process_runs_match_fresh_processes(capsys):
     import subprocess
     import sys
 
+    from conftest import child_env
+
     assert cli.build_parser() is cli.build_parser()
     for argv in [
         ("query", "--network", DRUG, "--event", "Recovery=rec", "--observe", "Drug=yes"),
@@ -389,5 +386,5 @@ def test_repeated_in_process_runs_match_fresh_processes(capsys):
         ("cet", "--network", ASIA, "--explanandum", "Dyspnea=yes"),
     ]:
         fresh = subprocess.run([sys.executable, "-m", "bnexplain", *argv],
-                               capture_output=True, text=True, timeout=120)
+                               capture_output=True, text=True, timeout=120, env=child_env())
         assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

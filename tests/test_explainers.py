@@ -333,13 +333,23 @@ def test_et_label_consistency_and_sibling_sums(request, name):
         assert zero_branches == 2  # A=a1, and X=x1 below A=a0
 
 
-@pytest.mark.parametrize("name", ORACLE_CASES)
-def test_bf_scores_match_oracle_bayes_factors(request, name):
+# every case at max_subset_size 1, 2 and, with three or more hypothesis
+# variables, 3: the smaller subsets are summed out of the largest ones' tables
+BF_ORACLE_CASES = [
+    pytest.param(name, size, id=name if size == 2 else f"{name}-size{size}")
+    for name, (_, hyp, observed, _) in ORACLE_CASES.items()
+    for size in (1, 2, 3) if size <= len([v for v in hyp if v not in observed])
+]
+
+
+@pytest.mark.parametrize("name, size", BF_ORACLE_CASES)
+def test_bf_scores_match_oracle_bayes_factors(request, name, size):
     net, hyp, e = noncausal_case(request, name)
-    cfg = ExplainerConfig(max_subset_size=2, top_k=10**6, best_per_subset=False)
+    cfg = ExplainerConfig(max_subset_size=size, top_k=10**6, best_per_subset=False)
     ranking = bayes_factor_search(net, hyp, e, cfg)
     assignments = sum(math.prod(len(net.domain(v)) for v in subset)
-                      for size in (1, 2) for subset in itertools.combinations(hyp, size))
+                      for size in range(1, cfg.max_subset_size + 1)
+                      for subset in itertools.combinations(hyp, size))
     assert len(ranking.entries) + ranking.skipped_degenerate == assignments
     for entry in ranking.entries:
         h = entry.as_dict()
@@ -525,6 +535,24 @@ def test_bf_degenerate_hypotheses_skipped():
                                   ExplainerConfig(max_subset_size=1, top_k=3))
     assert ranking.skipped_degenerate == 2  # p(A=t)=1 and p(A=f)=0
     assert ranking.entries == ()
+
+
+@pytest.mark.parametrize("size, skipped", [(1, 2), (2, 4)])
+def test_bf_certain_prior_read_from_a_wider_table_stays_skipped(size, skipped):
+    """p(A=f) is exactly one, but A's prior is summed out of a table that also
+    holds E (and B), whose cells sum to one only up to rounding. Divided by the
+    table's total, the prior of A=f comes out one ulp off one, so A=f is scored
+    infinite instead of skipped; divided by the marginal's own sum it is one."""
+    variables = [Variable("A", ("t", "f")), Variable("B", ("t", "f")), Variable("E", ("y", "n"))]
+    cpts = {"A": Cpt("A", (), ((0.0, 1.0),)),
+            "B": Cpt("B", (), ((0.1, 0.9),)),
+            "E": Cpt("E", ("A", "B"), ((0.5, 0.5), (0.5, 0.5), (0.6, 0.4), (0.2, 0.8)))}
+    net = Network(variables, cpts)
+    cfg = ExplainerConfig(max_subset_size=size, top_k=10, best_per_subset=False)
+    ranking = bayes_factor_search(net, ["A", "B"], {"E": "y"}, cfg)
+    assert ranking.skipped_degenerate == skipped  # A=t and A=f, and at size 2 A=t with B
+    assert all(math.isfinite(entry.score) for entry in ranking.entries)
+    assert (("A", "f"),) not in [entry.assignment for entry in ranking.entries]
 
 
 def test_bf_certain_posterior_scores_infinity_despite_rounding(asia):
@@ -803,8 +831,11 @@ def test_no_explainer_call_repeats_an_engine_query(request, net_factory, name):
         assert stopped == (cfg.beta > 0.0)
     else:
         bayes_factor_search(net, hyp, e, cfg, engine=eng)
-        subsets = len(hyp) + math.comb(len(hyp), 2)
-        assert len(eng.keys) == 2 * subsets  # a prior and a posterior table each, and no p(e)
+        # one table p(S, E) per largest subset S, with no observations and no p(e)
+        events = tuple(v.name for v in net.variables if v.name in e)
+        ordered = [v.name for v in net.variables if v.name in hyp]
+        assert eng.keys == [((), (*subset, *events), (), ())
+                            for subset in itertools.combinations(ordered, cfg.max_subset_size)]
     repeats = {k: n for k, n in collections.Counter(eng.keys).items() if n > 1}
     assert not repeats
 
@@ -832,7 +863,8 @@ def test_a_full_binary_causal_tree_asks_63_eliminations():
 
 def test_bayes_factor_scores_one_ulp_apart_keep_enumeration_order():
     """A and B are exchangeable causes of E up to one ulp in one CPT entry, so
-    B=t outscores A=t by one ulp; the two tie and keep enumeration order."""
+    B=t outscores A=t by a few ulps, within rounding noise; the two tie and
+    keep enumeration order."""
     q = 0.61
     variables = [Variable("A", ("t", "f")), Variable("B", ("t", "f")), Variable("E", ("y", "n"))]
     ft = math.nextafter(q, 1.0)
@@ -845,7 +877,8 @@ def test_bayes_factor_scores_one_ulp_apart_keep_enumeration_order():
     cfg = ExplainerConfig(max_subset_size=1, top_k=4, best_per_subset=False)
     ranking = bayes_factor_search(net, ["A", "B"], {"E": "y"}, cfg)
     scores = {e.assignment: e.score for e in ranking.entries}
-    assert scores[(("B", "t"),)] == math.nextafter(scores[(("A", "t"),)], math.inf)
+    a, b = scores[(("A", "t"),)], scores[(("B", "t"),)]
+    assert a < b <= a + 1e-12 * max(1.0, a)
     assert [e.assignment for e in ranking.entries[:2]] == [(("A", "t"),), (("B", "t"),)]
     assert ranking.entries[2].score < ranking.entries[1].score - 1e-6
 
