@@ -30,7 +30,7 @@ from .explain import (
 from .fileformat import load_network
 from .inference import event_probability
 from .network import Network, check_assignment, merge_assignments
-from .oracle import CheckedEngine, oracle_mpe
+from .oracle import _TOLERANCE, CheckedEngine, oracle_mpe
 
 
 class UsageError(Exception):
@@ -231,7 +231,7 @@ def _run_mpe(args, net: Network) -> int:
     if args.oracle_check:
         want, want_p = oracle_mpe(net, evidence)
         entry = ranking.entries[0]
-        if dict(entry.assignment) != want or abs(entry.score - want_p) > 1e-9:
+        if dict(entry.assignment) != want or abs(entry.score - want_p) > _TOLERANCE:
             raise OracleDivergenceError(
                 f"mpe diverges from enumeration: {entry.as_dict()} ({entry.score!r}) "
                 f"vs {want} ({want_p!r})"

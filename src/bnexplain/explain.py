@@ -26,6 +26,14 @@ Assignment = Mapping[str, str]
 _ROUNDING_SLACK = 1e-12  # differences this small (relative beyond 1) are rounding noise
 
 
+def _reaches(score: float, target: float) -> bool:
+    """Whether ``score`` reaches ``target`` up to rounding noise: it may fall
+    short by 1e-12 * max(1, |target|). The argmaxes, the tree stops, the
+    Bayes-factor ranking and its certain-posterior test all ask this; an
+    infinite target is reached only by itself (inf - inf would be nan)."""
+    return score == target or score >= target - _ROUNDING_SLACK * max(1.0, abs(target))
+
+
 @dataclass(frozen=True)
 class ExplainerConfig:
     """Knobs shared by the explainers; each method reads the fields it uses.
@@ -33,8 +41,9 @@ class ExplainerConfig:
     alpha:
         Minimum score a variable must reach to be added to a tree: causal
         trees compare information flow against it, noncausal trees
-        conditional mutual information. A score below alpha by no more than
-        rounding noise, 1e-12 * max(1, alpha), reaches it.
+        conditional mutual information. A number >= 0 (NaN is rejected);
+        ``inf`` stops a tree at its root, since no finite score reaches it.
+        A score reaches alpha up to rounding noise; see :func:`_reaches`.
     beta:
         Minimum posterior probability a noncausal-tree path must keep to be
         expanded further. Zero-probability branches therefore always stop,
@@ -70,8 +79,8 @@ class ExplainerConfig:
     prune_unreachable: bool = True
 
     def __post_init__(self) -> None:
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be >= 0")
+        if not 0.0 <= self.alpha:  # also rejects NaN
+            raise ValueError("alpha must be a number >= 0")
         if not (0.0 <= self.beta <= 1.0):
             raise ValueError("beta must lie in [0, 1]")
         if self.max_subset_size < 1 or self.top_k < 1:
@@ -166,16 +175,22 @@ def _explainer_roles(
 
 
 def _argmax(candidates: Iterable[str], scores: Mapping[str, float]) -> str:
-    """Earliest candidate (declaration order) whose score ties the maximum.
-
-    Scores within 1e-12 * max(1, |max|) of the maximum count as tied, so that
-    rounding noise from the elimination order cannot decide between them; an
-    infinite maximum ties only with itself.
-    """
+    """Earliest candidate (declaration order) whose score :func:`_reaches` the
+    maximum, so that rounding noise from the elimination order cannot decide
+    between candidates."""
     candidates = list(candidates)
     best = max(scores[v] for v in candidates)
-    slack = _ROUNDING_SLACK * max(1.0, abs(best))
-    return next(v for v in candidates if scores[v] == best or scores[v] >= best - slack)
+    return next(v for v in candidates if _reaches(scores[v], best))
+
+
+def _marginals(names, *tables):
+    """Per dict of ``tables``, all keyed alike by their axes' variables, its
+    first table that holds all of ``names``, summed down to them; the axes
+    keep the key's order. One key search serves every dict."""
+    names = set(names)
+    key = next(k for k in tables[0] if names.issubset(k))
+    other = tuple(i for i, v in enumerate(key) if v not in names)
+    return [t[key].sum(axis=other) for t in tables]
 
 
 # -- causal explanation trees -----------------------------------------------------
@@ -240,8 +255,7 @@ def _grow_causal(net, hyp, o, e, path, p_e, prior, cfg, eng, terms) -> Explanati
     left, the node prunes them once for all its children and asks two
     eliminations per candidate that keep the pick free as well; each child
     gets the slices at its state as its ``terms``. Growth stops when the best
-    score is below ``alpha`` by more than rounding noise,
-    1e-12 * max(1, alpha), the slack of :func:`_argmax`.
+    score does not :func:`_reaches` ``alpha``.
     """
     if not hyp:
         return LEAF
@@ -249,7 +263,7 @@ def _grow_causal(net, hyp, o, e, path, p_e, prior, cfg, eng, terms) -> Explanati
     for x, t in terms.items():
         scores[x] = _pointwise(net, x, o[x], t) if x in o else _state_flow(t, p_e)
     pick = _argmax(hyp, scores)
-    if scores[pick] < cfg.alpha - _ROUNDING_SLACK * max(1.0, cfg.alpha):
+    if not _reaches(scores[pick], cfg.alpha):
         return LEAF
 
     o_rest = {k: v for k, v in o.items() if k != pick}
@@ -303,10 +317,10 @@ def explanation_tree(
     At every node the hypothesis variable sharing the most information with
     the rest of the hypothesis set (conditioned on explanandum and path so
     far, summed over the other variables) is selected. Expansion stops when
-    the chosen variable's best pairwise information falls below ``alpha`` by
-    more than rounding noise, 1e-12 * max(1, alpha), or the path posterior
-    does not exceed ``beta``; a singleton hypothesis set has an empty sum,
-    scores zero, and therefore stops under any ``alpha`` above that noise.
+    the chosen variable's best pairwise information does not
+    :func:`_reaches` ``alpha``, or the path posterior does not exceed
+    ``beta``; a singleton hypothesis set has an empty sum, scores zero, and
+    therefore stops under any ``alpha`` above rounding noise.
     Branch labels are the path posterior p(path, state | e). The root asks
     one query per pair of hypothesis variables (one marginal for a single
     variable), and every later table comes from its parent; see
@@ -354,16 +368,16 @@ def _grow_noncausal(net, hyp, context, p_path, tables, cfg, eng) -> ExplanationT
     scores = {v: sum(around(v)) for v in hyp}
     pick = _argmax(hyp, scores)
     stop_stat = max(around(pick), default=0.0)
-    if stop_stat < cfg.alpha - _ROUNDING_SLACK * max(1.0, cfg.alpha):
+    if not _reaches(stop_stat, cfg.alpha):
         return LEAF
 
-    key = next(k for k in tables if pick in k)
-    mass = tables[key].sum(axis=tuple(i for i, v in enumerate(key) if v != pick))
+    [mass] = _marginals((pick,), tables)
     labels = [p_path * p for p in (mass / mass.sum()).tolist()]
     remaining = tuple(v for v in hyp if v != pick)
     rows = {}  # the children's tables: per key, one normalised slice per state of the pick
     if len(remaining) == 1:
-        rows[remaining] = _split(fa.Factor(key, tables[key]), (pick,))
+        [(key, table)] = tables.items()  # the pair of the pick and the last variable
+        rows[remaining] = _split(fa.Factor(key, table), (pick,))
     elif remaining and any(label > cfg.beta for label in labels):
         for yz in itertools.combinations(remaining, 2):
             rows[yz] = _split(eng.query(net, (pick, *yz), context).distribution, (pick,))
@@ -413,12 +427,12 @@ def bayes_factor_search(
     Every assignment h over subsets of sizes 1..max_subset_size is scored
     with the Bayes factor (posterior odds over prior odds by default, plain
     posterior odds with ``raw_odds``). Hypotheses with prior 0 or 1 have no
-    defined odds ratio; they are skipped and counted. A posterior within 1e-12
-    of one scores infinity, as its odds are rounding noise. Scores within
-    rounding noise of each other tie, and tied entries keep enumeration order
-    (see :func:`_rank`). With ``best_per_subset`` (default), the ranking then
-    keeps one entry per variable subset, namely its best assignment, before
-    the top_k cut.
+    defined odds ratio; they are skipped and counted. A posterior that
+    :func:`_reaches` one scores infinity, as its odds are rounding noise.
+    Scores within rounding noise of each other tie, and tied entries keep
+    enumeration order (see :func:`_rank`). With ``best_per_subset``
+    (default), the ranking then keeps one entry per variable subset, namely
+    its best assignment, before the top_k cut.
 
     The engine is asked one table per subset S of size ``max_subset_size``,
     in combination order: the joint of S and the explanandum's variables,
@@ -441,21 +455,19 @@ def bayes_factor_search(
         )
 
     # one table p(S, E) per subset S of the largest size, E the explanandum's
-    # variables, kept as p(S) and p(S, e) with axes in the order of S
-    tables = []
+    # variables, kept as p(S) and p(S, e) keyed by S, with axes in its order
+    joint_h, joint_he = {}, {}
     for big in itertools.combinations(hyp, cfg.max_subset_size):
         joint = eng.query(net, (*big, *e)).distribution
         axes = tuple(i for i, v in enumerate(joint.scope) if v in e)
         at_e = tuple(net.state_index(v, e[v]) if v in e else slice(None) for v in joint.scope)
-        tables.append((big, joint.values.sum(axis=axes), joint.values[at_e]))
+        joint_h[big], joint_he[big] = joint.values.sum(axis=axes), joint.values[at_e]
 
     scored: list[tuple[frozenset[str], Explanation]] = []
     skipped = 0
     for size in range(1, cfg.max_subset_size + 1):
         for subset in itertools.combinations(hyp, size):
-            big, p_h, p_he = next(t for t in tables if set(subset) <= set(t[0]))
-            other = tuple(i for i, v in enumerate(big) if v not in subset)
-            p_h, p_he = p_h.sum(axis=other), p_he.sum(axis=other)
+            p_h, p_he = _marginals(subset, joint_h, joint_he)
             mass = p_he.sum()
             if mass <= 0.0:
                 raise ImpossibleEvidenceError("conditioning event has probability zero")
@@ -467,7 +479,7 @@ def bayes_factor_search(
                 if prior <= 0.0 or prior >= 1.0:
                     skipped += 1
                     continue
-                if posterior >= 1.0 - _ROUNDING_SLACK:  # certain up to rounding noise
+                if _reaches(posterior, 1.0):  # certain up to rounding noise
                     score = float("inf")
                 elif cfg.raw_odds:
                     score = posterior / (1.0 - posterior)
@@ -490,17 +502,15 @@ def bayes_factor_search(
 
 def _rank(scored: list) -> list:
     """``(subset, explanation)`` pairs, given in enumeration order, best score
-    first. Each maximal run of scores within 1e-12 * max(1, |lead|) of the
-    run's first score, its lead, is a tie and keeps enumeration order, so that
-    rounding noise cannot reorder equivalent hypotheses. Infinite scores tie
-    only with each other: a slack of inf * 1e-12 would merge every finite
-    score into their run."""
+    first. Each maximal run of scores that :func:`_reaches` the run's first
+    score, its lead, is a tie and keeps enumeration order, so that rounding
+    noise cannot reorder equivalent hypotheses. Infinite scores tie only with
+    each other."""
     scores = [entry.score for _, entry in scored]
-    run_of, run, floor = [0] * len(scores), 0, math.inf  # run 0 holds the infinite scores
+    run_of, run, lead = [0] * len(scores), 0, math.inf  # run 0 holds the infinite scores
     for i in sorted(range(len(scores)), key=scores.__getitem__, reverse=True):  # stable
-        if scores[i] < floor:
-            run += 1
-            floor = scores[i] - _ROUNDING_SLACK * max(1.0, abs(scores[i]))
+        if not _reaches(scores[i], lead):
+            run, lead = run + 1, scores[i]
         run_of[i] = run
     return [scored[i] for i in sorted(range(len(scores)), key=run_of.__getitem__)]
 
@@ -516,7 +526,7 @@ def best_explanation(tree: ExplanationTree, method: str) -> tuple[dict[str, str]
     paths are excluded. A bare leaf yields the empty explanation with the
     neutral score (posterior 1 for "et", contribution 0 for "cet"). Ties go
     to the first path in :func:`iter_paths` order, that is in branch state
-    order, and labels within 1e-12 * max(1, |best|) of the best tie, as in
+    order, and every label that :func:`_reaches` the best ties with it, as in
     :func:`_argmax`.
     """
     if method not in ("cet", "et"):

@@ -106,6 +106,11 @@ def to_json_text(obj: dict) -> str:
 # -- DOT ------------------------------------------------------------------------
 
 
+def _dot_quoted(label: str) -> str:
+    """``label`` as a DOT quoted string: a variable or state name may hold ``"`` or ``\\``."""
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def tree_to_dot(tree: ExplanationTree) -> str:
     """Graphviz digraph: one node statement per tree node, one labeled edge per branch."""
     lines = ["digraph explanation_tree {"]
@@ -117,13 +122,14 @@ def tree_to_dot(tree: ExplanationTree) -> str:
         if node.is_leaf():
             lines.append(f'  {node_id} [shape=point, label=""];')
         else:
-            lines.append(f'  {node_id} [label="{node.variable}"];')
+            lines.append(f"  {node_id} [label={_dot_quoted(node.variable)}];")
         return node_id
 
     def render(node: ExplanationTree, node_id: str) -> None:
         for branch in node.branches:
             child_id = declare(branch.subtree)
-            lines.append(f'  {node_id} -> {child_id} [label="{branch.state}: {_fmt(branch.label)}"];')
+            label = _dot_quoted(f"{branch.state}: {_fmt(branch.label)}")
+            lines.append(f"  {node_id} -> {child_id} [label={label}];")
             render(branch.subtree, child_id)
 
     root_id = declare(tree)

@@ -34,6 +34,21 @@ def test_cet_drug_example(capsys):
         assert needle in out
 
 
+def test_nan_alpha_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "cet", "--network", DRUG, "--explanandum", "Recovery=rec",
+                         "--alpha", "nan")
+    assert code == 1
+    assert out == ""
+    assert "alpha" in err
+
+
+def test_infinite_alpha_prints_the_empty_tree(capsys):
+    code, out, err = run(capsys, "cet", "--network", DRUG, "--explanandum", "Recovery=rec",
+                         "--alpha", "inf")
+    assert code == 0
+    assert out == "(empty explanation tree)\n"
+
+
 def test_query_intervention_prints_04(capsys):
     code, out, err = run(capsys, "query", "--network", DRUG,
                          "--event", "Recovery=rec", "--do", "Drug=yes")

@@ -142,6 +142,19 @@ def test_cet_high_alpha_gives_empty_tree(drug):
     assert best_explanation(tree, "cet") == ({}, 0.0)
 
 
+def test_nan_alpha_is_rejected():
+    # NaN fails every comparison, so an `alpha < 0` check let it through and it
+    # grew the full tree
+    with pytest.raises(ValueError, match="alpha"):
+        ExplainerConfig(alpha=math.nan)
+
+
+def test_infinite_alpha_stops_both_trees_at_the_root(drug):
+    # inf - 1e-12 * inf is nan; no finite score may reach an infinite alpha
+    assert drug_cet(drug, alpha=math.inf).is_leaf()
+    assert explanation_tree(drug, ["Sex", "Drug"], REC, ExplainerConfig(alpha=math.inf)).is_leaf()
+
+
 def test_cet_impossible_explanandum(asia):
     with pytest.raises(ImpossibleEvidenceError):
         causal_explanation_tree(

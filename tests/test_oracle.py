@@ -6,6 +6,7 @@ import pytest
 from bnexplain import (
     CheckedEngine,
     ExactEngine,
+    Factor,
     OracleDivergenceError,
     OracleEngine,
     StateSpaceError,
@@ -123,6 +124,18 @@ def test_checked_engine_raises_on_divergence(drug):
     eng = CheckedEngine(primary=RiggedEngine())
     with pytest.raises(OracleDivergenceError):
         eng.probability(drug, {"Recovery": "rec"})
+
+
+def test_checked_engine_rejects_a_joint_with_its_axes_in_another_order(drug):
+    class TransposingEngine(ExactEngine):
+        def _joint(self, net, targets, observed=None, do=None, sources=()):
+            joint = super()._joint(net, targets, observed, do, sources)
+            return Factor(joint.scope[::-1], np.transpose(joint.values))
+
+    eng = CheckedEngine(primary=TransposingEngine())
+    with pytest.raises(OracleDivergenceError) as raised:
+        eng._joint(drug, ("Sex", "Drug"))
+    assert str(raised.value) == "joint scopes differ: ('Drug', 'Sex') vs ('Sex', 'Drug')"
 
 
 def test_checked_queries_never_compare_networks(asia, monkeypatch):

@@ -1,5 +1,7 @@
 """Property tests: the engine, its forced joints, the causal measures and
-both kinds of explanation tree against the enumeration oracle.
+both kinds of explanation tree against the enumeration oracle, and the
+explainers' rounding-noise rule (:func:`bnexplain.explain._reaches`) on
+drawn scores.
 
 Networks are drawn by ``conftest._draw_network`` with 2-8 variables of up to
 3 states, optionally (always, for the trees) with exact one-hot CPT rows and
@@ -21,6 +23,7 @@ from bnexplain import (
     CheckedEngine,
     ExactEngine,
     ExplainerConfig,
+    Explanation,
     ExplanationTree,
     Factor,
     ImpossibleEvidenceError,
@@ -40,6 +43,7 @@ from bnexplain import (
     reachable,
 )
 
+from bnexplain.explain import _argmax, _rank, _reaches
 from bnexplain.inference import _split
 from conftest import _draw_network
 
@@ -406,3 +410,60 @@ def test_noncausal_trees_match_a_per_pair_oracle_reference(case):
         assert got is want
     else:
         _assert_same_tree(got, want)
+
+
+# -- the rounding-noise rule ----------------------------------------------------------
+
+_NEAR_STEP = 0.3e-12  # a fraction of the slack: near ties never sit on its boundary
+
+
+@st.composite
+def scores(draw):
+    """A score, NaN excepted: any float, infinities included, or one a few
+    tenths of the 1e-12 slack away from a shared base, so that near ties are
+    common."""
+    if draw(st.booleans()):
+        return draw(st.floats(allow_nan=False))
+    base = draw(st.sampled_from([0.0, 1.0, -2.5, 1e6, -1e6]))
+    return base + draw(st.integers(-4, 4)) * _NEAR_STEP * max(1.0, abs(base))
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(a=scores(), b=scores(), target=scores())
+def test_reaching_is_reflexive_and_monotone_in_the_score(a, b, target):
+    assert _reaches(a, a)
+    low, high = sorted((a, b))
+    assert not _reaches(low, target) or _reaches(high, target)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(score=scores())
+def test_an_infinite_target_is_reached_only_by_itself(score):
+    # inf - 1e-12 * inf is nan, so the slack must not apply; every score is
+    # at least -inf
+    assert _reaches(score, math.inf) == (score == math.inf)
+    assert _reaches(score, -math.inf)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(values=st.lists(scores(), min_size=1, max_size=8))
+def test_argmax_returns_the_first_candidate_that_reaches_the_maximum(values):
+    best = max(values)
+    want = next(i for i, v in enumerate(values) if _reaches(v, best))
+    assert _argmax(range(len(values)), values) == want
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(values=st.lists(scores(), max_size=10))
+def test_rank_keeps_enumeration_order_inside_each_tied_run(values):
+    """The ranking equals a selection loop: the highest score left leads a
+    run of every entry left that reaches it, emitted in enumeration order."""
+    scored = [(frozenset({i}), Explanation((("V", str(i)),), v)) for i, v in enumerate(values)]
+    want, left = [], list(range(len(values)))
+    while left:
+        lead = max(values[i] for i in left)
+        run = [i for i in left if _reaches(values[i], lead)]
+        assert run, lead  # the lead reaches itself; an empty run would never end
+        want += run
+        left = [i for i in left if i not in run]
+    assert [min(subset) for subset, _ in _rank(scored)] == want

@@ -91,6 +91,24 @@ def test_dot_labels_have_four_decimals(drug_tree):
     assert 'label="no: 0.6374"' in dot
 
 
+def test_dot_escapes_quotes_and_backslashes_in_labels():
+    # names may hold '"' and '\\' (only '=' and ',' are refused); DOT quoted
+    # strings need both escaped
+    variables = [Variable('Rain"fall', ("heavy", "li\\ght")), Variable("Flood", ("yes", "no"))]
+    cpts = {
+        'Rain"fall': Cpt('Rain"fall', (), ((0.3, 0.7),)),
+        "Flood": Cpt("Flood", ('Rain"fall',), ((0.9, 0.1), (0.2, 0.8))),
+    }
+    tree = causal_explanation_tree(Network(variables, cpts), ['Rain"fall'], {}, {"Flood": "yes"},
+                                   ExplainerConfig(alpha=0.0))
+    lines = tree_to_dot(tree).splitlines()
+    assert lines[1] == '  n0 [label="Rain\\"fall"];'
+    assert lines[5] == '  n0 -> n2 [label="li\\\\ght: -1.0356"];'
+    quoted = re.compile(r'"(?:[^"\\]|\\.)*"')  # a DOT quoted string
+    for line in lines[1:-1]:
+        assert quoted.sub("", line).count('"') == 0, line
+
+
 def test_text_tree_snapshot(drug_tree):
     assert tree_to_text(drug_tree) == (
         "Sex\n"
