@@ -23,8 +23,10 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
+import numpy as np
+
 from .errors import ImpossibleEvidenceError
-from .inference import ExactEngine, _check_roles, _engine, _split
+from .inference import ExactEngine, _check_roles, _engine, _mutual_information, _split
 from .network import Network
 
 Assignment = Mapping[str, str]
@@ -126,26 +128,22 @@ def information_flow(
 ) -> float:
     """Causal information flow from ``source`` to ``target`` in bits.
 
-    Sum over source states x of p(x)·KL(p(target | do(x)) || p*(target)),
-    where p* mixes the interventional target distributions by p(x) and all
-    distributions are conditioned on ``observed`` and post-``do``. Zero iff no
-    directed source-to-target path avoids the intervened (and observed)
-    variables, for faithful distributions. A deterministic binary copy of the
-    source scores exactly one bit. The engine checks the roles: the source
-    and target are distinct, and neither is observed or intervened on.
+    The mutual information of the interventional joint
+    J[x, t] = p(x | observed, do) · p(t | observed, do(do, source=x)), one row
+    per source state x of positive posterior (Ay and Polani). It equals the
+    sum over those x of p(x)·KL(p(target | do(x)) || p*(target)), where p*
+    mixes the interventional target distributions by p(x); like every mutual
+    information here it is never negative. Zero iff no directed
+    source-to-target path avoids the intervened (and observed) variables, for
+    faithful distributions. A deterministic binary copy of the source scores
+    exactly one bit. The engine checks the roles: the source and target are
+    distinct, and neither is observed or intervened on.
     """
     eng = _engine(engine)
     p_source = eng.query(net, (source,), observed, do).distribution.values
     p_target = _forced(eng, net, (source,), (target,), observed, do)
-    mixture = _mixture(p_source, p_target)
-
-    total = 0.0
-    for i, dist in enumerate(p_target):
-        if p_source[i] > 0.0:
-            for j in range(dist.shape[0]):
-                if dist[j] > 0.0:
-                    total += p_source[i] * dist[j] * math.log2(dist[j] / mixture[j])
-    return total
+    return _mutual_information(
+        np.array([p * row for p, row in zip(p_source, p_target) if p > 0.0]))
 
 
 def flow_to_state(

@@ -48,8 +48,19 @@ def _binding_flag(parser, name, help_text, required=False):
                         required=required, help=help_text)
 
 
-def _common_flags(parser, formats=("ascii", "json")):
+def _hypothesis_flags(parser, default="all unbound variables"):
+    parser.add_argument("--hypothesis", action="append", default=[], metavar="Var[,Var]",
+                        help=f"explanatory variables (default: {default})")
+    parser.add_argument("--exclude", action="append", default=[], metavar="Var[,Var]",
+                        help="variables to drop from the hypothesis set")
+
+
+def _network_flag(parser):
     parser.add_argument("--network", required=True, metavar="FILE", help="network file to load")
+
+
+def _common_flags(parser, formats=("ascii", "json")):
+    _network_flag(parser)
     parser.add_argument("--format", choices=formats, default="ascii", help="output format")
     parser.add_argument("--oracle-check", action="store_true",
                         help="recompute every probability by full-joint enumeration; "
@@ -67,11 +78,7 @@ def build_parser() -> _Parser:
     _common_flags(p, formats=("ascii", "json", "dot"))
     _binding_flag(p, "--explanandum", "state(s) to explain", required=True)
     _binding_flag(p, "--observe", "additional observed states")
-    p.add_argument("--hypothesis", action="append", default=[], metavar="Var[,Var]",
-                   help="explanatory variables (default: all unbound variables; "
-                        "observed variables join only when listed here)")
-    p.add_argument("--exclude", action="append", default=[], metavar="Var[,Var]",
-                   help="variables to drop from the hypothesis set")
+    _hypothesis_flags(p, "all unbound variables; observed variables join only when listed here")
     p.add_argument("--alpha", type=float, default=0.0, help="minimum information flow (bits)")
     p.add_argument("--no-prune", action="store_true",
                    help="score all candidates, even ones with no directed path to the explanandum")
@@ -83,8 +90,7 @@ def build_parser() -> _Parser:
     _binding_flag(p, "--explanandum", "state(s) to explain", required=True)
     _binding_flag(p, "--observe", "observed states; folded into the conditioning event, "
                                   "since this method cannot treat them separately")
-    p.add_argument("--hypothesis", action="append", default=[], metavar="Var[,Var]")
-    p.add_argument("--exclude", action="append", default=[], metavar="Var[,Var]")
+    _hypothesis_flags(p)
     p.add_argument("--alpha", type=float, default=0.02, help="minimum mutual information (bits)")
     p.add_argument("--beta", type=float, default=0.0, help="minimum branch posterior")
     p.set_defaults(handler=_run_et)
@@ -99,8 +105,7 @@ def build_parser() -> _Parser:
                        help="rank hypothesis subsets by Bayes factor")
     _common_flags(p)
     _binding_flag(p, "--explanandum", "state(s) to explain", required=True)
-    p.add_argument("--hypothesis", action="append", default=[], metavar="Var[,Var]")
-    p.add_argument("--exclude", action="append", default=[], metavar="Var[,Var]")
+    _hypothesis_flags(p)
     p.add_argument("--max-subset-size", type=int, default=None,
                    help="largest subset to enumerate (default: min(2, #hypothesis vars))")
     p.add_argument("--top-k", type=int, default=3, help="entries to report")
@@ -118,7 +123,7 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_run_query)
 
     p = sub.add_parser("validate", help="check a network file")
-    p.add_argument("--network", required=True, metavar="FILE")
+    _network_flag(p)
     p.set_defaults(handler=_run_validate)
 
     return parser

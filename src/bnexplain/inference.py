@@ -54,7 +54,7 @@ class QueryResult:
     evidence_probability: float
 
 
-# -- the query contract shared by ExactEngine and OracleEngine ------------------------
+# -- the role and result rules shared by ExactEngine and OracleEngine ----------------
 
 
 def _check_roles(
@@ -108,8 +108,11 @@ def _split(joint: fa.Factor, free: Sequence[str], normalise: bool = True) -> lis
 
     Each table holds the cells at that state, with the other axes in
     declaration order, divided by its mass: the table's sum, or one without
-    ``normalise``. No cell exceeds the mass, against rounding. A table whose
-    mass is zero is None. One vectorised pass serves every state.
+    ``normalise``. A table whose mass is zero is None. One vectorised pass
+    serves every state. A normalised table needs no cap: its cells are
+    nonnegative, so none exceeds their floating-point sum, and none exceeds
+    one after the division. Without ``normalise`` the cells are probabilities
+    computed by elimination, so they are capped at one against rounding.
     """
     axes = [joint.scope.index(v) for v in free]
     values = joint.values.transpose(axes + [i for i in range(len(joint.scope)) if i not in axes])
@@ -117,26 +120,9 @@ def _split(joint: fa.Factor, free: Sequence[str], normalise: bool = True) -> lis
     if not normalise:
         return list(np.minimum(rows, 1.0))
     mass = rows.reshape(len(rows), -1).sum(axis=1)
-    cap = mass.reshape(-1, *(1,) * (rows.ndim - 1))
-    scaled = np.divide(np.minimum(rows, cap), cap, out=np.zeros_like(rows), where=cap > 0.0)
+    per_row = mass.reshape(-1, *(1,) * (rows.ndim - 1))
+    scaled = np.divide(rows, per_row, out=np.zeros_like(rows), where=per_row > 0.0)
     return [row if m > 0.0 else None for row, m in zip(scaled, mass.tolist())]
-
-
-def _probability(
-    engine, net: Network, event: Assignment, observed: Assignment | None, do: Assignment | None
-) -> float:
-    """``engine.probability``: the ratio of two evidence masses of ``engine``.
-
-    Both queries validate their bindings and roles, so they are not checked
-    here; the numerator is asked first, so that an event bound in ``do`` is
-    rejected before impossible observations are. The numerator's cells are a
-    subset of the denominator's, so it is capped there against rounding.
-    """
-    numer = engine.query(net, (), merge_assignments(event, observed or {}), do).evidence_probability
-    denom = engine.query(net, (), observed, do).evidence_probability if observed else 1.0
-    if denom <= 0.0:
-        raise ImpossibleEvidenceError("conditioning event has probability zero")
-    return min(numer, denom) / denom
 
 
 class ExactEngine:
@@ -156,7 +142,9 @@ class ExactEngine:
     ``calls`` counter increments once per elimination, that is per query or
     per forced joint of :meth:`_joint`, under a lock so that concurrent
     queries count exactly, and exists purely as a diagnostic; results are
-    pure functions of the arguments.
+    pure functions of the arguments. :meth:`query` and :meth:`probability`
+    read the network only through :meth:`_joint`, so
+    :class:`~bnexplain.oracle.OracleEngine` binds both over its own joint.
     """
 
     def __init__(self) -> None:
@@ -237,8 +225,19 @@ class ExactEngine:
         observations must agree, and no intervened variable may be conditioned
         on; an observed set of probability zero raises
         :class:`ImpossibleEvidenceError`.
+
+        The ratio of two evidence masses. Both queries validate their bindings
+        and roles, so they are not checked here; the numerator is asked first,
+        so that an event bound in ``do`` is rejected before impossible
+        observations are. The numerator's cells are a subset of the
+        denominator's, so it is capped there against rounding.
         """
-        return _probability(self, net, event, observed, do)
+        bound = merge_assignments(event, observed or {})
+        numer = self.query(net, (), bound, do).evidence_probability
+        denom = self.query(net, (), observed, do).evidence_probability if observed else 1.0
+        if denom <= 0.0:
+            raise ImpossibleEvidenceError("conditioning event has probability zero")
+        return min(numer, denom) / denom
 
 
 # -- module-level operations ------------------------------------------------------
@@ -292,16 +291,13 @@ def conditional_mutual_information(
 ) -> float:
     """Conditional mutual information I(x ; y | context) in bits.
 
-    Computed from the exact posterior joint of (x, y); zero-probability cells
-    contribute zero. Symmetric in x and y; rounding noise below 0 is clamped.
-    The engine's role check rejects x equal to y, or either bound in the
-    context.
+    Computed from the exact posterior joint of (x, y), read with its axes in
+    declaration order, so swapping x and y reads the same table and the result
+    is bit-symmetric. Zero-probability cells contribute zero; rounding noise
+    below 0 is clamped. The engine's role check rejects x equal to y, or
+    either bound in the context.
     """
-    qr = _engine(engine).query(net, (x, y), context)
-    values = qr.distribution.values
-    if qr.distribution.scope[0] != x:
-        values = values.T
-    return _mutual_information(values)
+    return _mutual_information(_engine(engine).query(net, (x, y), context).distribution.values)
 
 
 def _mutual_information(table: np.ndarray) -> float:

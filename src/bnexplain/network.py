@@ -53,6 +53,8 @@ def _check_label(kind: str, label: object) -> str:
         raise NetworkValidationError(f"{kind} {label!r} has leading/trailing whitespace")
     if "=" in label or "," in label:
         raise NetworkValidationError(f"{kind} {label!r} may not contain '=' or ','")
+    if not label.isprintable():  # a newline or tab would break the rendered trees
+        raise NetworkValidationError(f"{kind} {label!r} has a non-printable character")
     return label
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -75,6 +76,16 @@ def test_validate_cyclic_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "validate", "--network", str(path))
     assert code == 2
     assert "cycle" in err
+
+
+def test_validate_non_printable_name_exits_2(capsys, tmp_path):
+    path = tmp_path / "newline.json"
+    path.write_text(json.dumps({
+        "name": "newline", "variables": [{"name": "Rain\nfall", "states": ["t", "f"]}],
+        "cpts": {"Rain\nfall": {"parents": [], "table": [[0.5, 0.5]]}}}))
+    code, out, err = run(capsys, "validate", "--network", str(path))
+    assert code == 2
+    assert "non-printable" in err
 
 
 def test_missing_network_file_exits_2(capsys, tmp_path):
@@ -384,6 +395,17 @@ def test_python_dash_m_runs_the_cli():
 def test_help_exits_0(capsys):
     code, out, err = run(capsys, "--help")
     assert code == 0
+
+
+def test_every_option_of_every_subcommand_has_help():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == {"cet", "et", "mpe", "bf", "query", "validate"}
+    for name, p in sub.choices.items():
+        text = p.format_help()
+        for action in p._actions:
+            assert action.help, (name, action.option_strings)
+            assert action.option_strings[-1] in text, (name, action.option_strings)
 
 
 def test_repeated_in_process_runs_match_fresh_processes(capsys):

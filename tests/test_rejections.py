@@ -204,6 +204,12 @@ REJECTIONS = [
     ("label-surrounding-whitespace", lambda n: _network(name=" A"), NetworkValidationError),
     ("label-with-equals", lambda n: _network(states=("t=1", "f")), NetworkValidationError),
     ("label-with-comma", lambda n: _network(name="A,C"), NetworkValidationError),
+    ("label-with-newline", lambda n: _network(name="Rain\nfall"), NetworkValidationError),
+    ("label-with-tab", lambda n: _network(states=("li\tght", "f")), NetworkValidationError),
+    ("file-label-with-newline",
+     lambda n: parse_network(_file(variables=[{"name": "Rain\nfall", "states": list(BINARY)}],
+                                   cpts={"Rain\nfall": {"parents": [], "table": [[0.5, 0.5]]}})),
+     NetworkValidationError),
     ("cpt-repeated-parent",
      lambda n: _network(parents=("B", "B"), table=((0.5, 0.5),) * 4), NetworkValidationError),
     ("cpt-short-row", lambda n: _network(table=((1.0,),)), NetworkValidationError),
