@@ -31,7 +31,8 @@ def _reaches(score: float, target: float) -> bool:
     short by 1e-12 * max(1, |target|). The argmaxes, the tree stops, the
     Bayes-factor ranking and its certain-posterior test all ask this; an
     infinite target is reached only by itself (inf - inf would be nan)."""
-    return score == target or score >= target - _ROUNDING_SLACK * max(1.0, abs(target))
+    return score == target or score >= target - _ROUNDING_SLACK * (
+        abs(target) if abs(target) > 1.0 else 1.0)  # max(1.0, abs(target)), without the call
 
 
 @dataclass(frozen=True)
@@ -327,6 +328,14 @@ def explanation_tree(
     :func:`_grow_noncausal`. A bare leaf (``beta`` at one, or no hypothesis
     variable) asks p(explanandum) alone.
 
+    Every query of the call binds e and hypothesis variables only, so the
+    root first asks the engine for a factor set: e bound and every relevant
+    variable outside the hypothesis summed out, once, with the factors kept
+    unmultiplied. Each query then starts from it and eliminates at most the
+    hypothesis variables that it leaves free. The engine builds the set only
+    when enough variables lie outside (see ``ExactEngine._factor_set``); the
+    set is dropped when the call returns.
+
     Raises:
         ImpossibleEvidenceError: p(explanandum) is zero; the root's first
             query, or the bare leaf's p(explanandum), finds it.
@@ -338,12 +347,13 @@ def explanation_tree(
         if eng.probability(net, e) <= 0.0:
             raise ImpossibleEvidenceError("explanandum has probability zero")
         return LEAF
+    reduced = eng._factor_set(net, hyp, e)
     keys = list(itertools.combinations(hyp, 2)) or [hyp]
-    tables = {key: eng.query(net, key, e).distribution.values for key in keys}
-    return _grow_noncausal(net, hyp, e, 1.0, tables, cfg, eng)
+    tables = {key: eng.query(net, key, e, _reduced=reduced).distribution.values for key in keys}
+    return _grow_noncausal(net, hyp, e, 1.0, tables, cfg, eng, reduced)
 
 
-def _grow_noncausal(net, hyp, context, p_path, tables, cfg, eng) -> ExplanationTree:
+def _grow_noncausal(net, hyp, context, p_path, tables, cfg, eng, reduced) -> ExplanationTree:
     """Noncausal-tree node at path P, where ``context`` is e and P together and
     p(P | e) = ``p_path`` > beta.
 
@@ -359,6 +369,9 @@ def _grow_noncausal(net, hyp, context, p_path, tables, cfg, eng) -> ExplanationT
     child's pair query with the pick left free: it has the same relevant set
     and eliminates the same variables. When one variable is left, the slice is
     of the pick's own pair table. A branch whose slices have no mass stops.
+    Every query starts from the call's factor set ``reduced`` (None when the
+    engine built none). It has e bound and only hypothesis variables left, so
+    a query binds P in its factors and sums out the variables it leaves free.
     """
     pairwise = {key: _mutual_information(t) for key, t in tables.items() if len(key) == 2}
 
@@ -380,7 +393,8 @@ def _grow_noncausal(net, hyp, context, p_path, tables, cfg, eng) -> ExplanationT
         rows[remaining] = _split(fa.Factor(key, table), (pick,))
     elif remaining and any(label > cfg.beta for label in labels):
         for yz in itertools.combinations(remaining, 2):
-            rows[yz] = _split(eng.query(net, (pick, *yz), context).distribution, (pick,))
+            joint = eng.query(net, (pick, *yz), context, _reduced=reduced).distribution
+            rows[yz] = _split(joint, (pick,))
 
     branches = []
     for i, (state, label) in enumerate(zip(net.domain(pick), labels)):
@@ -388,7 +402,7 @@ def _grow_noncausal(net, hyp, context, p_path, tables, cfg, eng) -> ExplanationT
         child = {k: r[i] for k, r in rows.items()}
         if label > cfg.beta and child and all(t is not None for t in child.values()):
             extended = {**context, pick: state}
-            sub = _grow_noncausal(net, remaining, extended, label, child, cfg, eng)
+            sub = _grow_noncausal(net, remaining, extended, label, child, cfg, eng, reduced)
         branches.append(Branch(state, label, sub))
     return ExplanationTree(pick, tuple(branches))
 
@@ -442,6 +456,13 @@ def bayes_factor_search(
     one; its posterior p(h | e) is the slice at the explanandum divided by
     the slice's mass.
 
+    The tables start from one factor set of the call, in which every relevant
+    variable outside the hypothesis and the explanandum's variables is summed
+    out once, with the factors kept unmultiplied; each table then sums out
+    only the hypothesis variables outside S. The engine builds the set only
+    when enough variables lie outside (see ``ExactEngine._factor_set``), and
+    the set is dropped when the call returns.
+
     Raises:
         ImpossibleEvidenceError: p(explanandum) is zero; the first table's
             slice at the explanandum has no mass.
@@ -457,8 +478,9 @@ def bayes_factor_search(
     # one table p(S, E) per subset S of the largest size, E the explanandum's
     # variables, kept as p(S) and p(S, e) keyed by S, with axes in its order
     joint_h, joint_he = {}, {}
+    reduced = eng._factor_set(net, (*hyp, *e))
     for big in itertools.combinations(hyp, cfg.max_subset_size):
-        joint = eng.query(net, (*big, *e)).distribution
+        joint = eng.query(net, (*big, *e), _reduced=reduced).distribution
         axes = tuple(i for i, v in enumerate(joint.scope) if v in e)
         at_e = tuple(net.state_index(v, e[v]) if v in e else slice(None) for v in joint.scope)
         joint_h[big], joint_he[big] = joint.values.sum(axis=axes), joint.values[at_e]

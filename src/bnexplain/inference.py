@@ -24,6 +24,11 @@ from .network import Network, check_assignment, merge_assignments
 
 Assignment = Mapping[str, str]
 
+# ExactEngine._factor_set builds a set only when at least this many relevant
+# variables per kept or bound one lie outside them; below that the set saves
+# less than it costs. Tests set it to 0 to build one for every call.
+_REDUCTION_RATIO = 1
+
 
 def _reduce(f: fa.Factor, evidence: Assignment, net: Network) -> fa.Factor:
     for var in evidence:
@@ -40,6 +45,39 @@ def _pop_product(work: list[fa.Factor], var: str, net: Network) -> fa.Factor:
     for f in touching[1:]:
         prod = fa.multiply(prod, f, net)
     return prod
+
+
+def _ancestors(net: Network, start, stop=()) -> set[str]:
+    """``start`` and its ancestors, walking up to but not into ``stop``."""
+    found = set(stop)
+    stack = list(start)
+    while stack:
+        v = stack.pop()
+        if v not in found:
+            found.add(v)
+            stack.extend(net._factors[v].scope)
+    found.difference_update(stop)
+    return found
+
+
+def _eliminate(work: list[fa.Factor], variables, net: Network) -> list[fa.Factor]:
+    """Sum ``variables`` out of the product of ``work``, in the network's
+    elimination order, leaving the product unmultiplied in ``work``."""
+    for var in sorted(variables, key=net._elimination_rank.get):
+        work.append(fa.marginalize(_pop_product(work, var, net), var))
+    return work
+
+
+@dataclass(frozen=True, eq=False)
+class _FactorSet:
+    """What one explainer call's questions share: the network's factors with
+    ``observed`` bound and every relevant variable outside ``keep`` and the
+    observed ones summed out, unmultiplied. Its scopes lie within ``keep``."""
+
+    net: Network
+    keep: frozenset[str]
+    observed: dict[str, str]
+    factors: tuple[fa.Factor, ...]
 
 
 @dataclass(frozen=True)
@@ -139,10 +177,12 @@ class ExactEngine:
     restricted to the pruned set. Eliminating every variable of a subgraph in
     the restriction of an order builds no factor wider than that order builds
     on the whole graph, which bounds every query without targets. The
-    ``calls`` counter increments once per elimination, that is per query or
-    per forced joint of :meth:`_joint`, under a lock so that concurrent
-    queries count exactly, and exists purely as a diagnostic; results are
-    pure functions of the arguments. :meth:`query` and :meth:`probability`
+    ``calls`` counter increments once per elimination: per query or forced
+    joint of :meth:`_joint`, and per factor set that :meth:`_factor_set`
+    builds for one explainer call. It increments under a lock so that
+    concurrent queries count exactly, and exists purely as a diagnostic;
+    results are pure functions of the arguments, and a factor set lives only
+    as long as the call that built it. :meth:`query` and :meth:`probability`
     read the network only through :meth:`_joint`, so
     :class:`~bnexplain.oracle.OracleEngine` binds both over its own joint.
     """
@@ -157,21 +197,49 @@ class ExactEngine:
         targets: Sequence[str] = (),
         observed: Assignment | None = None,
         do: Assignment | None = None,
+        *,
+        _reduced: _FactorSet | None = None,
     ) -> QueryResult:
         """Distribution over ``targets`` given observations, after interventions.
 
         Each intervened variable's CPT is dropped and the variable is bound to
         its forced state; the observations then condition the post-intervention
         distribution. Targets, observed and intervened variables are pairwise
-        disjoint.
+        disjoint. ``_reduced`` is the explainers' own: a factor set of
+        :meth:`_factor_set` that the answer starts from (see :meth:`_joint`).
 
         Raises:
             ValueError: a variable is in two of the three roles.
             ImpossibleEvidenceError: ``targets`` nonempty and p(observed) = 0.
         """
-        return _result(self._joint(net, targets, observed, do), targets)
+        return _result(self._joint(net, targets, observed, do, reduced=_reduced), targets)
 
-    def _joint(self, net, targets, observed=None, do=None, sources=()) -> fa.Factor:
+    def _factor_set(self, net: Network, keep, observed: Assignment | None = None
+                    ) -> _FactorSet | None:
+        """The factor set for one explainer call whose every question keeps
+        its targets within ``keep`` and binds ``observed`` and kept variables
+        only, or None when it would not pay.
+
+        It binds ``observed`` in the factors of ``keep``, the observed
+        variables and their ancestors, and sums out the others, in the
+        network's elimination order, once for the whole call; that counts as
+        one of :attr:`calls`. It is built only when at least
+        :data:`_REDUCTION_RATIO` times as many of them lie outside ``keep``
+        and ``observed`` as inside. The caller has validated both, and drops
+        the set when its call returns.
+        """
+        observed = dict(observed or {})
+        relevant = _ancestors(net, [*keep, *observed])
+        outside = relevant.difference(keep, observed)
+        if len(outside) < _REDUCTION_RATIO * (len(relevant) - len(outside)):
+            return None
+        with self._lock:
+            self.calls += 1
+        work = [_reduce(net._factors[v], observed, net) for v in sorted(relevant, key=net.index)]
+        return _FactorSet(net, frozenset(keep), observed, tuple(_eliminate(work, outside, net)))
+
+    def _joint(self, net, targets, observed=None, do=None, sources=(), *,
+               reduced=None) -> fa.Factor:
         """Unnormalised joint over ``targets`` and the ``sources``, with axes in
         declaration order.
 
@@ -183,26 +251,31 @@ class ExactEngine:
         the intervened variables, and one all-ones factor over the sources
         carries their axes into the answer. Sources, targets, observed and
         intervened variables are pairwise disjoint.
+
+        Given a factor set ``reduced`` of :meth:`_factor_set`, the answer
+        starts from its factors: they are bound by the observations and every
+        kept variable that is neither a target nor observed is summed out. It
+        answers only questions on its network with no ``do`` and no sources,
+        targets among its kept variables, and observations that include its
+        own and bind nothing else outside them; any other raises ValueError.
         """
         with self._lock:
             self.calls += 1
         observed, do = _check_roles(net, (*sources, *targets), observed=observed,
                                     do=do).values()
 
-        relevant = set(sources)  # the walk stops at the sources
-        stack = [*targets, *observed]
-        while stack:  # ancestors up to the intervened variables; all others are barren
-            v = stack.pop()
-            if v not in relevant and v not in do:
-                relevant.add(v)
-                stack.extend(net._factors[v].scope)
-        relevant.difference_update(sources)
-
-        bound = {**observed, **do}
-        work = [_reduce(net._factors[v], bound, net) for v in sorted(relevant, key=net.index)]
-
-        for var in sorted(relevant.difference(targets, observed), key=net._elimination_rank.get):
-            work.append(fa.marginalize(_pop_product(work, var, net), var))
+        if reduced is None:  # ancestors up to the intervened variables and the sources
+            relevant = _ancestors(net, [*targets, *observed], (*sources, *do))
+            bound = {**observed, **do}
+            work = [_reduce(net._factors[v], bound, net) for v in sorted(relevant, key=net.index)]
+        else:
+            relevant = set(reduced.keep)
+            if (reduced.net is not net or do or sources or not relevant.issuperset(targets)
+                    or not reduced.observed.items() <= observed.items()
+                    or not relevant.issuperset(observed.keys() - reduced.observed.keys())):
+                raise ValueError("the factor set cannot answer this question")
+            work = [_reduce(f, observed, net) for f in reduced.factors]
+        _eliminate(work, relevant.difference(targets, observed), net)
 
         joint = fa.unit_factor()
         if sources:  # their CPT factors are all ones, and they stay in the answer

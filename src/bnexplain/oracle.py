@@ -141,11 +141,17 @@ class OracleEngine:
             self._tables[key] = (net, enumerate_joint(net, do))
         return self._tables[key][1]
 
-    def _joint(self, net, targets, observed=None, do=None, sources=()) -> fa.Factor:
+    def _factor_set(self, net, keep, observed=None) -> None:
+        """None: the oracle has no elimination to share between questions."""
+        return None
+
+    def _joint(self, net, targets, observed=None, do=None, sources=(), *,
+               reduced=None) -> fa.Factor:
         """:meth:`ExactEngine._joint <bnexplain.inference.ExactEngine._joint>` by
         masked summation: one sum over the joint table of the intervention, or,
         given sources, one over the table of each joint forced state of the
-        sources, stacked along their axes."""
+        sources, stacked along their axes. A factor set ``reduced`` is ignored:
+        the answer is that of the plain question."""
         with self._lock:
             self.calls += 1
         observed, do = _check_roles(net, (*sources, *targets), observed=observed,
@@ -168,6 +174,8 @@ class CheckedEngine:
     Wraps a primary engine (normally :class:`ExactEngine`) and an
     :class:`OracleEngine`; any probability differing by more than 1e-9 raises
     :class:`OracleDivergenceError`. Results returned are always the primary's.
+    An explainer's factor set is the primary's, and only the primary answers
+    from it; the oracle answers the plain question.
     """
 
     def __init__(self, primary=None) -> None:
@@ -191,15 +199,19 @@ class CheckedEngine:
         if gap > _TOLERANCE:
             raise OracleDivergenceError(f"{kind} diverges from the enumeration oracle by {gap!r}")
 
-    def query(self, net, targets=(), observed=None, do=None) -> QueryResult:
-        got = self.primary.query(net, targets, observed, do)
+    def query(self, net, targets=(), observed=None, do=None, *, _reduced=None) -> QueryResult:
+        got = self.primary.query(net, targets, observed, do, _reduced=_reduced)
         want = self.reference.query(net, targets, observed, do)
         self._agree("evidence probability", got.evidence_probability, want.evidence_probability)
         self._agree_table("distribution", got.distribution, want.distribution)
         return got
 
-    def _joint(self, net, targets, observed=None, do=None, sources=()) -> fa.Factor:
-        got = self.primary._joint(net, targets, observed, do, sources)
+    def _factor_set(self, net, keep, observed=None):
+        return self.primary._factor_set(net, keep, observed)
+
+    def _joint(self, net, targets, observed=None, do=None, sources=(), *,
+               reduced=None) -> fa.Factor:
+        got = self.primary._joint(net, targets, observed, do, sources, reduced=reduced)
         self._agree_table("joint", got, self.reference._joint(net, targets, observed, do, sources))
         return got
 

@@ -231,16 +231,17 @@ def test_oracle_check_compares_every_forced_joint_of_a_causal_tree(capsys, monke
     from bnexplain.inference import ExactEngine
     from bnexplain.oracle import CheckedEngine
 
-    asked, checked, inside = [], [], []
+    asked, checked, inside, reduced_sets = [], [], [], []
     exact, compare = ExactEngine._joint, CheckedEngine._joint
 
-    def spy_exact(self, net, targets, observed=None, do=None, sources=()):
+    def spy_exact(self, net, targets, observed=None, do=None, sources=(), *, reduced=None):
         asked.append(bool(inside))
-        return exact(self, net, targets, observed, do, sources)
+        return exact(self, net, targets, observed, do, sources, reduced=reduced)
 
-    def spy_checked(self, net, targets, observed=None, do=None, sources=()):
+    def spy_checked(self, net, targets, observed=None, do=None, sources=(), *, reduced=None):
         checked.append((tuple(sources), tuple(targets), bool(observed)))
-        return compare(self, net, targets, observed, do, sources)
+        reduced_sets.append(reduced)
+        return compare(self, net, targets, observed, do, sources, reduced=reduced)
 
     def checking(method):  # marks the eliminations that a CheckedEngine method reaches
         def spy(self, *args, **kwargs):
@@ -265,22 +266,25 @@ def test_oracle_check_compares_every_forced_joint_of_a_causal_tree(capsys, monke
     # the root's p(x | o') is a joint without sources; the picks' joints have two
     assert any(not sources for sources, _, _ in checked)
     assert any(len(sources) == 2 for sources, _, _ in checked)
+    # a causal tree's joints are interventional, which no factor set answers
+    assert not any(reduced_sets)
 
 
 def test_oracle_check_compares_every_query_of_a_noncausal_tree(capsys, monkeypatch):
     from bnexplain.inference import ExactEngine
     from bnexplain.oracle import CheckedEngine
 
-    asked, checked = [], []
+    asked, checked, reduced_sets = [], [], []
     exact, compare = ExactEngine.query, CheckedEngine.query
 
-    def spy_exact(self, net, targets=(), observed=None, do=None):
+    def spy_exact(self, net, targets=(), observed=None, do=None, *, _reduced=None):
         asked.append(tuple(targets))
-        return exact(self, net, targets, observed, do)
+        return exact(self, net, targets, observed, do, _reduced=_reduced)
 
-    def spy_checked(self, net, targets=(), observed=None, do=None):
+    def spy_checked(self, net, targets=(), observed=None, do=None, *, _reduced=None):
         checked.append(tuple(targets))
-        return compare(self, net, targets, observed, do)
+        reduced_sets.append(_reduced)
+        return compare(self, net, targets, observed, do, _reduced=_reduced)
 
     monkeypatch.setattr(ExactEngine, "query", spy_exact)
     monkeypatch.setattr(CheckedEngine, "query", spy_checked)
@@ -291,6 +295,40 @@ def test_oracle_check_compares_every_query_of_a_noncausal_tree(capsys, monkeypat
     # the tree asks no p(e): every query has targets and is compared with the oracle
     assert asked == checked and all(asked)
     assert any(len(t) == 3 for t in checked) and max(map(len, checked)) == 3
+    # on asia too few variables lie outside the hypothesis and e for a factor set
+    assert not any(reduced_sets)
+
+
+@pytest.mark.parametrize("argv", [
+    ("et", "--alpha", "0"),
+    ("bf", "--max-subset-size", "3"),
+])
+def test_oracle_check_where_explainers_build_a_factor_set(capsys, monkeypatch, tmp_path, argv):
+    """V15 of this seeded 16-variable network has 12 ancestors, 8 of them
+    outside the hypothesis, so ET and BF answer from a factor set; the oracle,
+    which enumerates all 2**16 cells, checks every answer and prints nothing
+    of its own. A 40-variable network would exceed its cell cap."""
+    import numpy as np
+    from conftest import make_random_network
+
+    from bnexplain.fileformat import serialize_network
+    from bnexplain.inference import ExactEngine
+
+    path = tmp_path / "random16.json"
+    path.write_text(serialize_network(make_random_network(np.random.default_rng(21), 16)))
+    built, build = [], ExactEngine._factor_set
+
+    def spy(self, *args, **kwargs):
+        built.append(build(self, *args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(ExactEngine, "_factor_set", spy)
+    command = (*argv[:1], "--network", str(path), "--explanandum", "V15=s0",
+               "--hypothesis", "V8,V10,V11,V12", *argv[1:])
+    plain = run(capsys, *command)
+    checked = run(capsys, *command, "--oracle-check")
+    assert plain[0] == 0 and checked == plain
+    assert len(built) == 2 and all(s is not None for s in built)
 
 
 def test_oracle_divergence_exits_4(capsys, monkeypatch):

@@ -715,16 +715,19 @@ def test_cet_on_multistate_network(academe):
 
 class RecordingEngine(ExactEngine):
     """Records every elimination by (sources, targets, sorted observed items,
-    sorted do items): each query, with no sources, and each forced joint."""
+    sorted do items): each query, with no sources, and each forced joint; and,
+    in ``reduced``, the factor set that each one was given."""
 
     def __init__(self):
         super().__init__()
         self.keys = []
+        self.reduced = []
 
-    def _joint(self, net, targets, observed=None, do=None, sources=()):
+    def _joint(self, net, targets, observed=None, do=None, sources=(), *, reduced=None):
         self.keys.append((tuple(sources), tuple(targets), tuple(sorted((observed or {}).items())),
                           tuple(sorted((do or {}).items()))))
-        return super()._joint(net, targets, observed, do, sources)
+        self.reduced.append(reduced)
+        return super()._joint(net, targets, observed, do, sources, reduced=reduced)
 
 
 def _assert_causal_sequence(keys, net, tree, hyp, observed, e):
@@ -851,6 +854,87 @@ def test_no_explainer_call_repeats_an_engine_query(request, net_factory, name):
                             for subset in itertools.combinations(ordered, cfg.max_subset_size)]
     repeats = {k: n for k, n in collections.Counter(eng.keys).items() if n > 1}
     assert not repeats
+
+
+# -- ET and Bayes-factor search answer from one factor set per call --------------------
+
+
+def forty_variables():
+    """A seeded 40-variable network, the explanandum V27=s0 and, as the
+    hypothesis, the last five of V27's 14 ancestors. Nine relevant variables
+    lie outside the hypothesis and e, at least the six inside, so each ET or
+    BF call builds a factor set."""
+    from conftest import make_random_network
+
+    net = make_random_network(np.random.default_rng(40), 40)
+    return net, ["V14", "V15", "V16", "V23", "V25"], {"V27": "s0"}
+
+
+@pytest.mark.parametrize("kind", ["et", "bf"])
+def test_et_and_bf_build_one_factor_set_and_eliminate_at_most_h_per_question(
+        monkeypatch, kind):
+    from bnexplain import inference
+
+    net, hyp, e = forty_variables()
+    builds, eliminated = [], []
+    build, eliminate = ExactEngine._factor_set, inference._eliminate
+
+    def spy_build(self, *args, **kwargs):
+        builds.append(build(self, *args, **kwargs))
+        return builds[-1]
+
+    def spy_eliminate(work, variables, net):
+        eliminated.append(len(variables))
+        return eliminate(work, variables, net)
+
+    monkeypatch.setattr(ExactEngine, "_factor_set", spy_build)
+    monkeypatch.setattr(inference, "_eliminate", spy_eliminate)
+    eng = RecordingEngine()
+    if kind == "et":
+        tree = explanation_tree(net, hyp, e, ExplainerConfig(alpha=0.0), engine=eng)
+        assert count_nodes(tree) > 1
+    else:
+        bayes_factor_search(net, hyp, e, engine=eng)
+    [reduced] = builds
+    assert reduced is not None and all(r is reduced for r in eng.reduced)
+    # one elimination builds the set, one answers each question
+    assert eng.calls == 1 + len(eng.keys) and len(eng.keys) > 1
+    assert eliminated[0] == 9
+    assert len(eliminated) == eng.calls and max(eliminated[1:]) <= len(hyp)
+
+
+def test_et_and_bf_from_four_threads_on_one_engine_match_a_serial_run():
+    """Each call's factor set is its own, so four threads sharing an engine
+    get the serial outputs, and the engine counts every elimination."""
+    import sys
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    net, hyp, _ = forty_variables()
+
+    def run_all(eng, start=None):
+        if start is not None:
+            start.wait(timeout=10)
+        out = []
+        for state in net.domain("V27"):
+            e = {"V27": state}
+            out.append(explanation_tree(net, hyp, e, ExplainerConfig(alpha=0.0), engine=eng))
+            out.append(bayes_factor_search(net, hyp, e, engine=eng))
+        return out
+
+    serial_engine = ExactEngine()
+    serial = run_all(serial_engine)
+    eng, start = ExactEngine(), threading.Barrier(4)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(run_all, eng, start) for _ in range(4)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    assert all(threaded == serial for threaded in results)
+    assert eng.calls == 4 * serial_engine.calls
 
 
 def test_a_full_binary_causal_tree_asks_63_eliminations():

@@ -279,10 +279,10 @@ def test_no_factor_the_engine_multiplies_or_sums_holds_an_intervened_variable(
     forced, hits, spied = set(), [], {"calls": 0}
 
     class Spied(ExactEngine):
-        def query(self, net, targets=(), observed=None, do=None):
+        def query(self, net, targets=(), observed=None, do=None, *, _reduced=None):
             forced.clear()
             forced.update(do or {})
-            return super().query(net, targets, observed, do)
+            return super().query(net, targets, observed, do, _reduced=_reduced)
 
     def spy(op):
         def wrapped(*args):
@@ -337,6 +337,41 @@ def test_cached_factors_are_read_only(drug):
         with pytest.raises(ValueError, match="read-only"):
             f.values[(0,) * f.values.ndim] = 0.5
     assert event_probability(drug, {"Recovery": "rec"}) == pytest.approx(0.45, abs=1e-12)
+
+
+FACTOR_SET_MISUSES = {
+    "intervention": dict(targets=("Smoker",), do={"LungCancer": "yes"}),
+    "sources": dict(targets=("Smoker",), sources=("LungCancer",)),
+    "target-outside": dict(targets=("Smoker", "Tuberculosis")),
+    "observation-missing": dict(targets=("Smoker",), observed={"LungCancer": "yes"}),
+    "observation-changed": dict(targets=("Smoker",), observed={"Dyspnea": "no"}),
+    "observation-outside": dict(targets=("Smoker",),
+                                observed={"Dyspnea": "yes", "X-ray": "abnormal"}),
+    "other-network": dict(targets=("Smoker",), net="copy"),
+}
+
+
+@pytest.mark.parametrize("name", FACTOR_SET_MISUSES)
+def test_a_factor_set_answers_only_questions_within_it(asia, monkeypatch, name):
+    """A set built for Smoker, LungCancer and Bronchitis given Dyspnea=yes
+    answers a question on asia that keeps its targets among them and binds
+    Dyspnea=yes and kept variables only, as the plain question is answered;
+    it refuses any other question."""
+    from bnexplain import datasets, inference
+
+    monkeypatch.setattr(inference, "_REDUCTION_RATIO", 0)  # asia is too small to reach the rule
+    eng = ExactEngine()
+    reduced = eng._factor_set(asia, ("Smoker", "LungCancer", "Bronchitis"), {"Dyspnea": "yes"})
+    observed = {"Dyspnea": "yes", "Bronchitis": "no"}
+    got = eng.query(asia, ("Smoker", "LungCancer"), observed, _reduced=reduced)
+    want = eng.query(asia, ("Smoker", "LungCancer"), observed)
+    assert got.evidence_probability == pytest.approx(want.evidence_probability, rel=1e-12)
+    assert np.allclose(got.distribution.values, want.distribution.values, rtol=0.0, atol=1e-12)
+
+    question = {"observed": {"Dyspnea": "yes"}, **FACTOR_SET_MISUSES[name]}
+    net = datasets.asia() if question.pop("net", None) else asia
+    with pytest.raises(ValueError, match="factor set cannot answer"):
+        eng._joint(net, reduced=reduced, **question)
 
 
 def test_cold_cache_filled_by_four_threads_matches_serial_results():

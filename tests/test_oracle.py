@@ -128,8 +128,8 @@ def test_checked_engine_raises_on_divergence(drug):
 
 def test_checked_engine_rejects_a_joint_with_its_axes_in_another_order(drug):
     class TransposingEngine(ExactEngine):
-        def _joint(self, net, targets, observed=None, do=None, sources=()):
-            joint = super()._joint(net, targets, observed, do, sources)
+        def _joint(self, net, targets, observed=None, do=None, sources=(), *, reduced=None):
+            joint = super()._joint(net, targets, observed, do, sources, reduced=reduced)
             return Factor(joint.scope[::-1], np.transpose(joint.values))
 
     eng = CheckedEngine(primary=TransposingEngine())
@@ -171,6 +171,35 @@ def test_joint_of_reverse_declared_network_is_a_declaration_ordered_factor(asia)
         coords = tuple(net.state_index(v, s) for v, s in full.items())
         assert float(table.values[coords]) == pytest.approx(joint_probability(net, full),
                                                             rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("kind", ["et", "bf"])
+def test_checked_engine_rejects_a_perturbed_answer_from_a_factor_set(asia, monkeypatch, kind):
+    """The oracle answers each question of a factor set unreduced, so a
+    primary that adds 1e-6 to one cell of every answer it reads off the set
+    is caught; its plain answers are left alone."""
+    from bnexplain import ExplainerConfig, bayes_factor_search, explanation_tree, inference
+
+    class Perturbed(ExactEngine):
+        def _joint(self, net, targets, observed=None, do=None, sources=(), *, reduced=None):
+            joint = super()._joint(net, targets, observed, do, sources, reduced=reduced)
+            if reduced is None:
+                return joint
+            values = joint.values.copy()
+            values.flat[0] += 1e-6
+            return Factor(joint.scope, values)
+
+    monkeypatch.setattr(inference, "_REDUCTION_RATIO", 0)  # asia is too small to reach the rule
+    hyp, e = ["Smoker", "LungCancer", "Bronchitis"], {"Dyspnea": "yes"}
+
+    def explain(eng):
+        if kind == "et":
+            return explanation_tree(asia, hyp, e, ExplainerConfig(alpha=0.0), engine=eng)
+        return bayes_factor_search(asia, hyp, e, engine=eng)
+
+    explain(CheckedEngine())
+    with pytest.raises(OracleDivergenceError):
+        explain(CheckedEngine(Perturbed()))
 
 
 def test_engine_counters_count_every_concurrent_query(asia):

@@ -12,6 +12,7 @@ must agree within 1e-9, or both raise the same exception type, or both return
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from bnexplain import (
     ImpossibleEvidenceError,
     OracleDivergenceError,
     OracleEngine,
+    bayes_factor_search,
     causal_explanation_tree,
     explanation_tree,
     flow_to_state,
@@ -43,11 +45,15 @@ from bnexplain import (
     reachable,
 )
 
+from bnexplain import inference
 from bnexplain.explain import _argmax, _rank, _reaches
 from bnexplain.inference import _split
 from conftest import _draw_network
 
 _TOLERANCE = 1e-9
+# ExactEngine._factor_set's size rule patched to build a set for every ET and
+# BF call, then for none, whatever the drawn network's size
+_FACTOR_SET_ON_OFF = (0, math.inf)
 
 
 @st.composite
@@ -173,8 +179,8 @@ def test_checked_engine_rejects_a_perturbed_forced_joint(case, data):
     net, sources, targets, observed, do = case
 
     class Perturbed(ExactEngine):
-        def _joint(self, net, targets, observed=None, do=None, sources=()):
-            joint = super()._joint(net, targets, observed, do, sources)
+        def _joint(self, net, targets, observed=None, do=None, sources=(), *, reduced=None):
+            joint = super()._joint(net, targets, observed, do, sources, reduced=reduced)
             if not sources:
                 return joint
             values = joint.values.copy()
@@ -407,14 +413,75 @@ def _assert_same_tree(got, want):
 def test_noncausal_trees_match_a_per_pair_oracle_reference(case):
     """Tables sliced out of one query per pair that keeps the pick free give
     the tree that per-pair queries at every node give: the same shape and
-    picks, and labels within 1e-9, also where a slice has no mass."""
+    picks, and labels within 1e-9, also where a slice has no mass. This holds
+    with every question answered from the call's factor set, and without."""
     net, hyp, e, cfg = case
     want = _outcome(lambda: _reference_noncausal_tree(net, hyp, e, cfg))
-    got = _outcome(lambda: explanation_tree(net, hyp, e, cfg))
-    if isinstance(want, type):
-        assert got is want
-    else:
-        _assert_same_tree(got, want)
+    for ratio in _FACTOR_SET_ON_OFF:
+        with mock.patch.object(inference, "_REDUCTION_RATIO", ratio):
+            got = _outcome(lambda: explanation_tree(net, hyp, e, cfg))
+        if isinstance(want, type):
+            assert got is want
+        else:
+            _assert_same_tree(got, want)
+
+
+@st.composite
+def bf_cases(draw):
+    """A network with one-hot rows, an explanandum, 1-4 hypothesis variables,
+    a largest subset size of 1-3 of them and either score."""
+    size = draw(st.sampled_from((4, 3, 2, 1)))
+    net = draw(networks(zero_one=st.just(True), min_vars=size + 1))
+    names = draw(st.permutations([v.name for v in net.variables]))
+    explanandum = {names[0]: draw(st.sampled_from(net.domain(names[0])))}
+    cfg = ExplainerConfig(max_subset_size=draw(st.integers(1, min(size, 3))), top_k=10**6,
+                          best_per_subset=False, raw_odds=draw(st.booleans()))
+    return net, names[1:1 + size], explanandum, cfg
+
+
+def _reference_bayes_factors(net, hyp, e, cfg):
+    """Every assignment's score by its definition on the oracle, ranked by
+    :func:`_rank`, and the number skipped: per subset, its prior is the
+    oracle's marginal over it and its posterior the oracle's marginal given e,
+    each normalised by its own sum."""
+    oracle = OracleEngine()
+    hyp = tuple(v.name for v in net.variables if v.name in hyp)
+    scored, skipped = [], 0
+    for size in range(1, cfg.max_subset_size + 1):
+        for subset in itertools.combinations(hyp, size):
+            priors = oracle.query(net, subset).distribution.values.ravel().tolist()
+            posteriors = oracle.query(net, subset, e).distribution.values.ravel().tolist()
+            states = itertools.product(*(net.domain(v) for v in subset))
+            for assignment, prior, posterior in zip(states, priors, posteriors):
+                if prior <= 0.0 or prior >= 1.0:
+                    skipped += 1
+                    continue
+                odds = posterior / (1.0 - posterior) if posterior < 1.0 - 1e-12 else math.inf
+                score = odds if cfg.raw_odds else odds * ((1.0 - prior) / prior)
+                entry = Explanation(tuple(zip(subset, assignment)), score)
+                scored.append((frozenset(subset), entry))
+    return [entry for _, entry in _rank(scored)], skipped
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=bf_cases())
+def test_bayes_factor_search_matches_an_oracle_reference(case):
+    """Tables of the largest subsets, summed down to every smaller one, give
+    the oracle's scores, skips and ranking, with every question answered from
+    the call's factor set, and without."""
+    net, hyp, e, cfg = case
+    want = _outcome(lambda: _reference_bayes_factors(net, hyp, e, cfg))
+    for ratio in _FACTOR_SET_ON_OFF:
+        with mock.patch.object(inference, "_REDUCTION_RATIO", ratio):
+            got = _outcome(lambda: bayes_factor_search(net, hyp, e, cfg))
+        if isinstance(want, type):
+            assert got is want
+            continue
+        entries, skipped = want
+        assert got.skipped_degenerate == skipped
+        assert [g.assignment for g in got.entries] == [w.assignment for w in entries]
+        for g, w in zip(got.entries, entries):
+            assert g.score == w.score or abs(g.score - w.score) <= _TOLERANCE * max(1.0, w.score)
 
 
 # -- the rounding-noise rule ----------------------------------------------------------
