@@ -19,7 +19,7 @@ from . import factors as fa
 from .causal import _forced_event, _pointwise, _state_flow, _terms
 from .errors import ImpossibleEvidenceError
 from .inference import ExactEngine, _check_roles, _engine, _mutual_information, _split, mpe
-from .network import Network, check_assignment, merge_assignments, reachable
+from .network import Network, _reaches_any, check_assignment, merge_assignments
 
 Assignment = Mapping[str, str]
 
@@ -249,8 +249,15 @@ def _grow_causal(net, hyp, o, e, path, p_e, prior, cfg, eng, terms) -> Explanati
     node's from its parent. The flow to the state, or the pointwise flow of
     an observed x, is computed from them as in the public flows.
 
-    The pick's terms are its branch labels and its children's p_e; a pick
-    that pruning scored zero asks for them in one joint. A state whose
+    The pick's terms are its branch labels and its children's p_e. A pick
+    that pruning scored zero asks for them in one joint, unless it is
+    unobserved and no directed path from it reaches e or the other
+    observations with its interior outside the path. Then, with the path's
+    incoming edges cut, the pick is no ancestor of e or o, so by the
+    truncated factorisation forcing it leaves every label at ``p_e``, and
+    no branch is pruned. An observed pick's labels drop its own observation,
+    and a pick that reaches an observation, say past an observed collider,
+    can move e or contradict it, so both still ask. A state whose
     intervention contradicts the observations is a pruned branch; a branch
     with a finite label is live. When some branch is live and candidates are
     left, the node prunes them once for all its children and asks two
@@ -268,7 +275,12 @@ def _grow_causal(net, hyp, o, e, path, p_e, prior, cfg, eng, terms) -> Explanati
         return LEAF
 
     o_rest = {k: v for k, v in o.items() if k != pick}
-    p_forced = terms[pick][1] if pick in terms else _forced_event(eng, net, (pick,), e, o_rest, path)
+    if pick in terms:
+        p_forced = terms[pick][1]
+    elif pick in o or _reaches_any(net, pick, {**e, **o_rest}, path):
+        p_forced = _forced_event(eng, net, (pick,), e, o_rest, path)
+    else:  # forcing the pick moves neither e nor o_rest: every label is p_e
+        p_forced = [p_e] * len(net.domain(pick))
     remaining = tuple(v for v in hyp if v != pick)
     if pick in o:
         states = [(net.state_index(pick, o[pick]), o[pick])]
@@ -299,7 +311,7 @@ def _scored(net, candidates, e, blocked, cfg) -> list[str]:
     explanandum whose interior avoids ``blocked``."""
     if not cfg.prune_unreachable:
         return list(candidates)
-    return [x for x in candidates if any(reachable(net, x, t, blocked) for t in e)]
+    return [x for x in candidates if _reaches_any(net, x, e, blocked)]
 
 
 # -- noncausal explanation trees ----------------------------------------------------

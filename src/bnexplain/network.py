@@ -286,15 +286,23 @@ def reachable(net: Network, source: str, target: str, blocked: Iterable[str] = (
     net.index(target)
     if source == target:
         raise ValueError("source and target must differ")
-    stop = {v for v in blocked if v not in (source, target)}
-    for v in stop:
+    blocked = set(blocked)
+    for v in blocked:
         net.index(v)
+    return _reaches_any(net, source, (target,), blocked)
+
+
+def _reaches_any(net: Network, source: str, targets, blocked) -> bool:
+    """Whether a directed path from ``source`` reaches some variable of
+    ``targets`` with its interior outside ``blocked``: one walk that stops at
+    the first target reached. The names are not validated."""
+    children = net._children
     stack, seen = [source], {source}
     while stack:
-        for child in net.children(stack.pop()):
-            if child == target:
+        for child in children[stack.pop()]:
+            if child in targets:
                 return True
-            if child not in seen and child not in stop:
+            if child not in seen and child not in blocked:
                 seen.add(child)
                 stack.append(child)
     return False

@@ -331,6 +331,23 @@ def test_oracle_check_where_explainers_build_a_factor_set(capsys, monkeypatch, t
     assert len(built) == 2 and all(s is not None for s in built)
 
 
+def test_oracle_check_where_no_pick_asks_a_joint_for_its_labels(capsys, monkeypatch):
+    """With X-ray=abnormal explained, the root picks TbOrCa, which blocks every
+    path of the other candidates to X-ray: the 62 picks below are scored zero
+    and no intervention on them moves X-ray, so their labels are their node's
+    p(e | do(path)) and none asks a joint. The checked run prints the same."""
+    from bnexplain import explain
+
+    own_joints = []
+    monkeypatch.setattr(explain, "_forced_event", lambda *args: own_joints.append(args))
+    command = ("cet", "--network", ASIA, "--explanandum", "X-ray=abnormal", "--hypothesis",
+               "VisitAsia,Tuberculosis,LungCancer,Smoker,Bronchitis,TbOrCa", "--alpha", "0")
+    plain = run(capsys, *command)
+    checked = run(capsys, *command, "--oracle-check")
+    assert plain[0] == 0 and checked == plain
+    assert plain[1].splitlines()[0] == "TbOrCa" and not own_joints
+
+
 def test_oracle_divergence_exits_4(capsys, monkeypatch):
     from bnexplain.errors import OracleDivergenceError
 

@@ -184,7 +184,9 @@ def test_cet_observed_variable_selected_by_pointwise_flow(asia):
 
 def test_cet_pruned_branch_kept_with_marker():
     # B is a deterministic copy of A and is observed; forcing A to the other
-    # state contradicts that observation.
+    # state contradicts that observation. Reachability pruning scores A zero,
+    # since A reaches C only past B, but A reaches the observed B, so it still
+    # asks its joint for its labels.
     variables = [Variable("A", ("a0", "a1")), Variable("B", ("b0", "b1")),
                  Variable("C", ("c0", "c1"))]
     cpts = {
@@ -193,17 +195,44 @@ def test_cet_pruned_branch_kept_with_marker():
         "C": Cpt("C", ("B",), ((0.8, 0.2), (0.3, 0.7))),
     }
     net = Network(variables, cpts)
-    tree = causal_explanation_tree(net, ["A"], {"B": "b0"}, {"C": "c0"},
-                                   ExplainerConfig(alpha=0.0, prune_unreachable=False))
-    assert tree.variable == "A"
-    by_state = {b.state: b for b in tree.branches}
-    assert not by_state["a0"].pruned
-    assert by_state["a1"].pruned
-    assert by_state["a1"].label is None
-    assert by_state["a1"].subtree.is_leaf()
-    # the impossible branch is excluded from the best explanation
-    best, _ = best_explanation(tree, "cet")
-    assert best == {"A": "a0"}
+    for prune in (False, True):
+        tree = causal_explanation_tree(net, ["A"], {"B": "b0"}, {"C": "c0"},
+                                       ExplainerConfig(alpha=0.0, prune_unreachable=prune))
+        assert tree.variable == "A"
+        by_state = {b.state: b for b in tree.branches}
+        assert not by_state["a0"].pruned
+        assert by_state["a1"].pruned
+        assert by_state["a1"].label is None
+        assert by_state["a1"].subtree.is_leaf()
+        # the impossible branch is excluded from the best explanation
+        best, _ = best_explanation(tree, "cet")
+        assert best == {"A": "a0"}
+
+
+ASKING_PICKS = {
+    # VisitAsia reaches Dyspnea only past the observed TbOrCa, but forcing it
+    # moves Tuberculosis, which TbOrCa=yes trades off against LungCancer
+    "collider": (["VisitAsia", "Tuberculosis"], {"TbOrCa": "yes"}, {"Dyspnea": "yes"}),
+    # the explanandum is no descendant of VisitAsia at all
+    "explained-away": (["VisitAsia"], {"TbOrCa": "yes"}, {"LungCancer": "yes"}),
+    # an observed pick's labels drop its own observation, which p_e keeps
+    "observed-sink": (["Dyspnea"], {"Dyspnea": "yes"}, {"X-ray": "abnormal"}),
+}
+
+
+@pytest.mark.parametrize("case", ASKING_PICKS)
+def test_cet_zero_scored_pick_that_moves_e_or_o_keeps_its_labels(asia, case):
+    """Each root pick is scored zero by reachability pruning, yet its labels
+    are not log2(p_e / prior) = 0: they are those of the oracle."""
+    hyp, observed, e = ASKING_PICKS[case]
+    tree = causal_explanation_tree(asia, hyp, observed, e, ExplainerConfig(alpha=0.0))
+    assert tree.variable == hyp[0]
+    prior = oracle_event_probability(asia, e, observed)
+    rest = {k: v for k, v in observed.items() if k != tree.variable}
+    for b in tree.branches:
+        p = oracle_interventional_probability(asia, e, rest, {tree.variable: b.state})
+        assert abs(b.label) > 1e-12
+        assert b.label == pytest.approx(math.log2(p / prior), abs=1e-9)
 
 
 def test_cet_selects_only_causal_ancestors(asia):
@@ -737,7 +766,9 @@ def _assert_causal_sequence(keys, net, tree, hyp, observed, e):
     and candidates left asks, for each candidate that is not pruned at its
     children, the joints over (pick, x) and over (pick, x, e) with the pick
     free; its children ask nothing for their terms. A pick that pruning
-    scored zero asks its own joint."""
+    scored zero asks its own joint only when it is observed, or when a
+    directed path from it reaches e or the other observations avoiding the
+    path's variables; otherwise no intervention on it moves its labels."""
     hyp = [v.name for v in net.variables if v.name in hyp]
     events = tuple(v.name for v in net.variables if v.name in e)
     o = {k: v for k, v in observed.items() if k not in e}
@@ -757,7 +788,8 @@ def _assert_causal_sequence(keys, net, tree, hyp, observed, e):
             return
         pick = node.variable
         o_rest = {k: v for k, v in o.items() if k != pick}
-        if pick not in scored(left, set(o) | set(path)):
+        moves = pick in o or any(reachable(net, pick, t, set(path)) for t in {**e, **o_rest})
+        if pick not in scored(left, set(o) | set(path)) and moves:
             want.append(((pick,), events, tuple(sorted(o_rest.items())), do))
         remaining = [v for v in left if v != pick]
         live = [b for b in node.branches if not b.pruned and b.label != float("-inf")]
@@ -822,6 +854,10 @@ NO_REPEAT_CASES = {
     # do(A=a1) contradicts B=b0, so the root's pick has one live branch, and
     # its child still gets its terms from the pick's batch
     "copies-cet": ("cet", "copies", ["A", "X"], {"B": "b0"}, {"E": "e1"}),
+    # with TbOrCa observed, VisitAsia reaches no explanandum past it and is
+    # scored zero, but forcing it moves TbOrCa's other cause: it asks its joint
+    "asia-collider-cet": ("cet", "asia", ["VisitAsia", "Tuberculosis"], {"TbOrCa": "yes"},
+                          {"Dyspnea": "yes"}),
 }
 # at beta 0.1, one asia node below the root has every branch at or below beta
 NO_REPEAT_CONFIGS = {"asia-et-beta": ExplainerConfig(beta=0.1)}
@@ -956,6 +992,21 @@ def test_a_full_binary_causal_tree_asks_63_eliminations():
     tree = causal_explanation_tree(net, causes, {}, {"E": "t"}, ExplainerConfig(), engine=eng)
     assert count_nodes(tree) == 31
     assert eng.calls == 63
+
+
+def test_picks_that_no_intervention_moves_ask_no_joint(asia):
+    """asia at alpha 0, explaining X-ray=abnormal by the six variables of
+    ASIA_HYP. p(e) is one query; the root asks two eliminations for each of
+    the five candidates that reach X-ray, Bronchitis aside, and picks TbOrCa,
+    which blocks every other path to X-ray. The 62 nodes below it are picks
+    that pruning scored zero and that reach neither e nor an observation, so
+    their labels are their node's p_e: 1 + 2*5 = 11 eliminations, where each
+    of those picks asking its own joint took 11 + 62 = 73."""
+    eng = ExactEngine()
+    tree = causal_explanation_tree(asia, ASIA_HYP, {}, {"X-ray": "abnormal"},
+                                   ExplainerConfig(alpha=0.0), engine=eng)
+    assert tree.variable == "TbOrCa" and count_nodes(tree) == 63
+    assert eng.calls == 11
 
 
 def test_bayes_factor_scores_one_ulp_apart_keep_enumeration_order():
