@@ -19,7 +19,7 @@ from . import factors as fa
 from .causal import _forced_event, _pointwise, _state_flow, _terms
 from .errors import ImpossibleEvidenceError
 from .inference import ExactEngine, _check_roles, _engine, _mutual_information, _split, mpe
-from .network import Network, _reaches_any, check_assignment, merge_assignments
+from .network import Network, _upstream, check_assignment, merge_assignments
 
 Assignment = Mapping[str, str]
 
@@ -251,13 +251,14 @@ def _grow_causal(net, hyp, o, e, path, p_e, prior, cfg, eng, terms) -> Explanati
 
     The pick's terms are its branch labels and its children's p_e. A pick
     that pruning scored zero asks for them in one joint, unless it is
-    unobserved and no directed path from it reaches e or the other
-    observations with its interior outside the path. Then, with the path's
-    incoming edges cut, the pick is no ancestor of e or o, so by the
-    truncated factorisation forcing it leaves every label at ``p_e``, and
-    no branch is pruned. An observed pick's labels drop its own observation,
-    and a pick that reaches an observation, say past an observed collider,
-    can move e or contradict it, so both still ask. A state whose
+    unobserved and not upstream of e and the other observations o' given
+    the path (:func:`~bnexplain.network._upstream`): no directed path from it
+    reaches them with its interior outside the path. That is the relation by
+    which the engine chooses a joint's variables, so the pick takes no part
+    in its own joint: by the truncated factorisation forcing it leaves every
+    label at ``p_e``, and no branch is pruned. An observed pick's labels drop
+    its own observation, and a pick that reaches an observation, say past an
+    observed collider, can move e or contradict it, so both still ask. A state whose
     intervention contradicts the observations is a pruned branch; a branch
     with a finite label is live. When some branch is live and candidates are
     left, the node prunes them once for all its children and asks two
@@ -277,7 +278,7 @@ def _grow_causal(net, hyp, o, e, path, p_e, prior, cfg, eng, terms) -> Explanati
     o_rest = {k: v for k, v in o.items() if k != pick}
     if pick in terms:
         p_forced = terms[pick][1]
-    elif pick in o or _reaches_any(net, pick, {**e, **o_rest}, path):
+    elif pick in o or pick in _upstream(net, {**e, **o_rest}, path):
         p_forced = _forced_event(eng, net, (pick,), e, o_rest, path)
     else:  # forcing the pick moves neither e nor o_rest: every label is p_e
         p_forced = [p_e] * len(net.domain(pick))
@@ -307,11 +308,14 @@ def _grow_causal(net, hyp, o, e, path, p_e, prior, cfg, eng, terms) -> Explanati
 
 def _scored(net, candidates, e, blocked, cfg) -> list[str]:
     """The candidates that reachability pruning leaves to score: all of them,
-    or, with ``prune_unreachable``, those with a directed path to the
-    explanandum whose interior avoids ``blocked``."""
+    or, with ``prune_unreachable``, those upstream of the explanandum given
+    ``blocked``: with a directed path into it whose interior avoids
+    ``blocked``. One :func:`~bnexplain.network._upstream` walk, the one by
+    which the engine chooses a question's variables, serves every candidate."""
     if not cfg.prune_unreachable:
         return list(candidates)
-    return [x for x in candidates if _reaches_any(net, x, e, blocked)]
+    upstream = _upstream(net, e, blocked)
+    return [x for x in candidates if x in upstream]
 
 
 # -- noncausal explanation trees ----------------------------------------------------

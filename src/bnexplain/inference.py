@@ -20,7 +20,7 @@ import numpy as np
 
 from . import factors as fa
 from .errors import ImpossibleEvidenceError
-from .network import Network, check_assignment, merge_assignments
+from .network import Network, _upstream, check_assignment, merge_assignments
 
 Assignment = Mapping[str, str]
 
@@ -45,19 +45,6 @@ def _pop_product(work: list[fa.Factor], var: str, net: Network) -> fa.Factor:
     for f in touching[1:]:
         prod = fa.multiply(prod, f, net)
     return prod
-
-
-def _ancestors(net: Network, start, stop=()) -> set[str]:
-    """``start`` and its ancestors, walking up to but not into ``stop``."""
-    found = set(stop)
-    stack = list(start)
-    while stack:
-        v = stack.pop()
-        if v not in found:
-            found.add(v)
-            stack.extend(net._factors[v].scope)
-    found.difference_update(stop)
-    return found
 
 
 def _eliminate(work: list[fa.Factor], variables, net: Network) -> list[fa.Factor]:
@@ -170,9 +157,11 @@ class ExactEngine:
     construction; a query only reads them. An intervention drops the CPT and
     binds the variable (truncated factorization): the forced variable's own
     factor leaves the query, and its children's factors are reduced to the
-    forced state, as observed variables' are. Only targets, observed variables
-    and their ancestors, up to the intervened variables, take part; all others
-    are barren and sum to one. They are eliminated in the network's order
+    forced state, as observed variables' are. Only the variables upstream of
+    the targets and observed variables given the intervened ones take part
+    (:func:`~bnexplain.network._upstream`, the relation by which the causal
+    tree decides which picks can move a label); all others are barren and sum
+    to one. They are eliminated in the network's order
     (min-degree on the whole moral graph, declaration order breaking ties)
     restricted to the pruned set. Eliminating every variable of a subgraph in
     the restriction of an order builds no factor wider than that order builds
@@ -220,8 +209,9 @@ class ExactEngine:
         its targets within ``keep`` and binds ``observed`` and kept variables
         only, or None when it would not pay.
 
-        It binds ``observed`` in the factors of ``keep``, the observed
-        variables and their ancestors, and sums out the others, in the
+        It binds ``observed`` in the factors of the variables upstream of
+        ``keep`` and the observed ones (the relation the causal tree's picks
+        are tested by), and sums out all of them but those, in the
         network's elimination order, once for the whole call; that counts as
         one of :attr:`calls`. It is built only when at least
         :data:`_REDUCTION_RATIO` times as many of them lie outside ``keep``
@@ -229,7 +219,7 @@ class ExactEngine:
         the set when its call returns.
         """
         observed = dict(observed or {})
-        relevant = _ancestors(net, [*keep, *observed])
+        relevant = _upstream(net, [*keep, *observed])
         outside = relevant.difference(keep, observed)
         if len(outside) < _REDUCTION_RATIO * (len(relevant) - len(outside)):
             return None
@@ -247,7 +237,7 @@ class ExactEngine:
         by ones and the source stays free, so the cell (s, t) is
         p(t, observed | do(do, sources=s)): one elimination answers every joint
         forced state s of the sources (the regime-indicator view of an
-        intervention). The ancestor walk stops at the sources, as it does at
+        intervention). The upstream walk stops at the sources, as it does at
         the intervened variables, and one all-ones factor over the sources
         carries their axes into the answer. Sources, targets, observed and
         intervened variables are pairwise disjoint.
@@ -264,8 +254,9 @@ class ExactEngine:
         observed, do = _check_roles(net, (*sources, *targets), observed=observed,
                                     do=do).values()
 
-        if reduced is None:  # ancestors up to the intervened variables and the sources
-            relevant = _ancestors(net, [*targets, *observed], (*sources, *do))
+        if reduced is None:
+            cut = {*sources, *do}
+            relevant = _upstream(net, [*targets, *observed], cut) - cut
             bound = {**observed, **do}
             work = [_reduce(net._factors[v], bound, net) for v in sorted(relevant, key=net.index)]
         else:

@@ -289,23 +289,26 @@ def reachable(net: Network, source: str, target: str, blocked: Iterable[str] = (
     blocked = set(blocked)
     for v in blocked:
         net.index(v)
-    return _reaches_any(net, source, (target,), blocked)
+    return source in _upstream(net, (target,), blocked)
 
 
-def _reaches_any(net: Network, source: str, targets, blocked) -> bool:
-    """Whether a directed path from ``source`` reaches some variable of
-    ``targets`` with its interior outside ``blocked``: one walk that stops at
-    the first target reached. The names are not validated."""
-    children = net._children
-    stack, seen = [source], {source}
+def _upstream(net: Network, start, stop=()) -> set[str]:
+    """``start`` and every variable with a directed path into it whose
+    interior avoids ``stop``. The walk goes up the parents; it includes a
+    ``stop`` variable it reaches but goes no further, and always walks the
+    start. By the truncated factorisation these are the variables that take
+    part in a question on ``start`` with ``stop`` intervened. The names are
+    not validated."""
+    parents = net._parents
+    found = set(start)
+    stack = list(found)
     while stack:
-        for child in children[stack.pop()]:
-            if child in targets:
-                return True
-            if child not in seen and child not in blocked:
-                seen.add(child)
-                stack.append(child)
-    return False
+        for parent in parents[stack.pop()]:
+            if parent not in found:
+                found.add(parent)
+                if parent not in stop:
+                    stack.append(parent)
+    return found
 
 
 def mutilate(net: Network, do: Mapping[str, str]) -> Network:

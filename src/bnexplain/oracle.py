@@ -148,16 +148,14 @@ class OracleEngine:
     def _joint(self, net, targets, observed=None, do=None, sources=(), *,
                reduced=None) -> fa.Factor:
         """:meth:`ExactEngine._joint <bnexplain.inference.ExactEngine._joint>` by
-        masked summation: one sum over the joint table of the intervention, or,
-        given sources, one over the table of each joint forced state of the
-        sources, stacked along their axes. A factor set ``reduced`` is ignored:
+        masked summation: one sum over the joint table of each joint forced
+        state of the sources, stacked along their axes (with no sources, the
+        one table of the intervention). A factor set ``reduced`` is ignored:
         the answer is that of the plain question."""
         with self._lock:
             self.calls += 1
         observed, do = _check_roles(net, (*sources, *targets), observed=observed,
                                     do=do).values()
-        if not sources:
-            return _masked_sum(self._table(net, do), net, targets, observed)
         free = tuple(sorted(sources, key=net.index))
         rows = [_masked_sum(self._table(net, {**do, **dict(zip(free, states))}), net, targets,
                             observed)
@@ -339,19 +337,12 @@ def oracle_mpe(net: Network, evidence: Assignment) -> tuple[dict[str, str], floa
     """Argmax over all completions, first maximum in declaration-lex order."""
     evidence = check_assignment(net, evidence)
     table = enumerate_joint(net)
-    p_evidence = (
-        float(table.values[_slicer(table, net, evidence)].sum()) if evidence else 1.0
-    )
+    # the block's axes are the other variables in declaration order, so its
+    # first maximum in C order is the declaration-lex first maximiser
+    block = table.values[_slicer(table, net, evidence)]
+    p_evidence = float(block.sum()) if evidence else 1.0
     if p_evidence <= 0.0:
         raise ImpossibleEvidenceError("evidence has probability zero")
+    best = np.unravel_index(np.argmax(block), block.shape)
     free = [v.name for v in net.variables if v.name not in evidence]
-    if not free:
-        return {}, 1.0
-    best, best_p = None, -1.0
-    for combo in itertools.product(*(net.domain(v) for v in free)):
-        full = dict(evidence)
-        full.update(zip(free, combo))
-        p = float(table.values[_slicer(table, net, full)])
-        if p > best_p:
-            best, best_p = dict(zip(free, combo)), p
-    return best, best_p / p_evidence
+    return {v: net.domain(v)[i] for v, i in zip(free, best)}, float(block[best]) / p_evidence

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from bnexplain import (
     Cpt,
+    ExactEngine,
+    ExplainerConfig,
     Network,
     NetworkFormatError,
     NetworkValidationError,
@@ -17,7 +20,10 @@ from bnexplain import (
     serialize_network,
     topological_order,
 )
+from bnexplain import inference
 from bnexplain.datasets import network_path
+from bnexplain.explain import _scored
+from bnexplain.network import _upstream
 
 
 def test_parse_drug_preserves_declaration_and_topology(drug):
@@ -206,6 +212,56 @@ def test_reachable_monotone(random_corpus):
                 new_state = reachable(net, src, dst, blocked)
                 assert not (not state and new_state)  # enlarging never flips False -> True
                 state = new_state
+
+
+def _upstream_by_paths(net, start, stop):
+    """``start`` and every variable from which some directed path, searched
+    down the children, enters ``start`` with its interior outside ``stop``."""
+    def enters(v):
+        return any(c in start or (c not in stop and enters(c)) for c in net.children(v))
+    return {v.name for v in net.variables if v.name in start or enters(v.name)}
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(seed=st.integers(0, 2**32 - 1), n_vars=st.integers(2, 9), max_parents=st.integers(0, 4),
+       data=st.data())
+def test_one_upstream_walk_decides_every_relevance_question(seed, n_vars, max_parents, data):
+    # the walk, reachability, CET pruning and the variables an engine joint
+    # eliminates all follow the one relation, checked against a path search
+    from conftest import _draw_network
+
+    net = _draw_network(np.random.default_rng(seed), n_vars, max_parents, "drawn", shuffled=True)
+    names = [v.name for v in net.variables]
+    start = data.draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+    stop = set(data.draw(st.lists(st.sampled_from(names), unique=True)))
+    want = _upstream_by_paths(net, set(start), stop)
+    assert _upstream(net, start, stop) == want
+
+    for source, target in itertools.permutations(names, 2):
+        assert reachable(net, source, target, stop) == (
+            source in _upstream_by_paths(net, {target}, stop))
+
+    e = {v: net.domain(v)[0] for v in start}
+    candidates = [v for v in names if v not in e]
+    assert _scored(net, candidates, e, stop, ExplainerConfig()) == [
+        x for x in candidates if x in want]
+
+    # a joint's roles are disjoint: the start splits into targets and
+    # observations, the rest of the stop set into sources and interventions
+    observed = data.draw(st.lists(st.sampled_from(start), unique=True))
+    targets = [v for v in start if v not in observed]
+    cut = sorted(stop - set(start), key=net.index)
+    sources = data.draw(st.lists(st.sampled_from(cut), unique=True)) if cut else []
+    do = {v: net.domain(v)[-1] for v in cut if v not in sources}
+    eliminated, eliminate = [], inference._eliminate
+
+    def spy(work, variables, net):
+        eliminated.append(set(variables))
+        return eliminate(work, variables, net)
+
+    with mock.patch.object(inference, "_eliminate", spy):
+        ExactEngine()._joint(net, targets, {v: net.domain(v)[0] for v in observed}, do, sources)
+    assert eliminated == [_upstream_by_paths(net, set(start), set(cut)) - set(cut) - set(start)]
 
 
 def test_validity_invariants(random_corpus):

@@ -5,12 +5,17 @@ import pytest
 
 from bnexplain import (
     CheckedEngine,
+    Cpt,
     ExactEngine,
     Factor,
+    ImpossibleEvidenceError,
+    Network,
     OracleDivergenceError,
     OracleEngine,
     StateSpaceError,
+    Variable,
     enumerate_joint,
+    oracle_mpe,
     oracle_query,
 )
 from bnexplain.network import topological_order
@@ -200,6 +205,66 @@ def test_checked_engine_rejects_a_perturbed_answer_from_a_factor_set(asia, monke
     explain(CheckedEngine())
     with pytest.raises(OracleDivergenceError):
         explain(CheckedEngine(Perturbed()))
+
+
+def _mpe_by_loop(net, evidence):
+    """Every completion in declaration-lex order; the first strictly largest wins."""
+    table = enumerate_joint(net)
+    block = table.values[tuple(net.state_index(v, evidence[v]) if v in evidence else slice(None)
+                               for v in table.scope)]
+    p_evidence = float(block.sum()) if evidence else 1.0
+    if p_evidence <= 0.0:
+        return None
+    free = [v.name for v in net.variables if v.name not in evidence]
+    best, best_p = None, -1.0
+    for combo in itertools.product(*(net.domain(v) for v in free)):
+        full = {**evidence, **dict(zip(free, combo))}
+        p = float(table.values[tuple(net.state_index(v, full[v]) for v in table.scope)])
+        if p > best_p:
+            best, best_p = dict(zip(free, combo)), p
+    return best, best_p / p_evidence
+
+
+def test_oracle_mpe_is_the_first_maximiser_of_the_completion_loop(asia, academe):
+    rng = np.random.default_rng(17)
+    nets = [asia, academe, _reversed(academe)]
+    nets += [make_random_network(rng, 2 + i % 6, max_states=3, name=f"mpe{i}") for i in range(24)]
+    for net in nets:
+        names = [v.name for v in net.variables]
+        for size in range(len(names) + 1):
+            evidence = {v: net.domain(v)[int(rng.integers(len(net.domain(v))))]
+                        for v in rng.permutation(names)[:size]}
+            want = _mpe_by_loop(net, evidence)
+            if want is None:
+                with pytest.raises(ImpossibleEvidenceError):
+                    oracle_mpe(net, evidence)
+                continue
+            got = oracle_mpe(net, evidence)
+            assert got == want
+            assert list(got[0]) == [v for v in names if v not in evidence]
+
+
+def test_oracle_mpe_returns_the_first_states_when_every_completion_ties():
+    variables = [Variable("A", ("a0", "a1")), Variable("B", ("b0", "b1", "b2")),
+                 Variable("C", ("c0", "c1"))]
+    cpts = {"A": Cpt("A", (), ((0.5, 0.5),)),
+            "B": Cpt("B", ("A",), ((1 / 3,) * 3,) * 2),
+            "C": Cpt("C", ("A", "B"), ((0.5, 0.5),) * 6)}
+    net = Network(variables, cpts)
+    completion, score = oracle_mpe(net, {})
+    assert completion == {"A": "a0", "B": "b0", "C": "c0"}
+    assert score == pytest.approx(1 / 12, rel=1e-12)
+    completion, score = oracle_mpe(net, {"C": "c1"})
+    assert completion == {"A": "a0", "B": "b0"}
+    assert score == pytest.approx(1 / 6, rel=1e-12)
+
+
+def test_oracle_mpe_of_academe_tie_is_the_declaration_first_maximiser(academe):
+    # Theory=good, Practice=average ties with this completion; Theory comes first
+    completion, score = oracle_mpe(academe, {"FinalMark": "pass", "Other": "negative"})
+    assert completion == {"Theory": "average", "Practice": "good", "Extra": "no",
+                          "TPMark": "pass", "GlobalMark": "pass"}
+    assert score == pytest.approx(0.11440779810388568, rel=1e-12)
 
 
 def test_engine_counters_count_every_concurrent_query(asia):
