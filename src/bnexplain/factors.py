@@ -2,7 +2,10 @@
 
 A factor's ``values`` array has one axis per scope variable, in network
 declaration order. Keeping every scope sorted that way makes products a pure
-broadcast (no transposes) and makes all results bit-deterministic.
+broadcast (no transposes) and makes all results bit-deterministic: a product
+reshapes each operand to the merged scope, with a length-one axis for every
+variable it lacks, and multiplies the two. The tables are tiny, so numpy's
+per-call cost dominates; the kernels keep their numpy calls few.
 """
 
 from __future__ import annotations
@@ -29,29 +32,30 @@ def unit_factor() -> Factor:
 def from_cpt(net: Network, var: str) -> Factor:
     """CPT as a factor over parents + child, axes in declaration order."""
     cpt = net.cpts[var]
-    shape = tuple(len(net.domain(p)) for p in cpt.parents) + (len(net.domain(var)),)
-    values = np.asarray(cpt.table, dtype=float).reshape(shape)
     scope = cpt.parents + (var,)
-    order = sorted(range(len(scope)), key=lambda i: net.index(scope[i]))
+    values = np.asarray(cpt.table, dtype=float).reshape([len(net._domains[v]) for v in scope])
+    position = [net._index[v] for v in scope]
+    if position == sorted(position):  # the parents precede the child, in declaration order
+        return Factor(scope, values)
+    order = sorted(range(len(scope)), key=position.__getitem__)
     return Factor(tuple(scope[i] for i in order), values.transpose(order))
 
 
-def _expand(f: Factor, out_scope: tuple[str, ...]) -> np.ndarray:
-    # f.scope must be a subsequence of out_scope (both declaration-sorted)
-    idx: list[object] = []
-    j = 0
-    for v in out_scope:
-        if j < len(f.scope) and f.scope[j] == v:
-            idx.append(slice(None))
-            j += 1
-        else:
-            idx.append(None)
-    return f.values[tuple(idx)]
-
-
 def multiply(f: Factor, g: Factor, net: Network) -> Factor:
-    scope = tuple(sorted(set(f.scope) | set(g.scope), key=net.index))
-    return Factor(scope, _expand(f, scope) * _expand(g, scope))
+    """Pointwise product over the union of the scopes, in declaration order.
+
+    Each operand is reshaped to the union's axes, with length one where its
+    scope lacks the variable, and the two broadcast.
+    """
+    if f.scope == g.scope or not g.scope:
+        return Factor(f.scope, f.values * g.values)
+    if not f.scope:
+        return Factor(g.scope, f.values * g.values)
+    domains = net._domains
+    scope = tuple(sorted({*f.scope, *g.scope}, key=net._index.__getitem__))
+    f_shape = [len(domains[v]) if v in f.scope else 1 for v in scope]
+    g_shape = [len(domains[v]) if v in g.scope else 1 for v in scope]
+    return Factor(scope, f.values.reshape(f_shape) * g.values.reshape(g_shape))
 
 
 def marginalize(f: Factor, var: str) -> Factor:

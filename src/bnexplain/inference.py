@@ -12,6 +12,7 @@ a whole tree construction.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -268,11 +269,13 @@ class ExactEngine:
             work = [_reduce(f, observed, net) for f in reduced.factors]
         _eliminate(work, relevant.difference(targets, observed), net)
 
-        joint = fa.unit_factor()
         if sources:  # their CPT factors are all ones, and they stay in the answer
             free = tuple(sorted(sources, key=net.index))
-            joint = fa.Factor(free, np.ones(tuple(len(net.domain(v)) for v in free)))
-        for f in work:
+            work.insert(0, fa.Factor(free, np.ones(tuple(len(net.domain(v)) for v in free))))
+        if not work:
+            return fa.unit_factor()
+        joint = work[0]
+        for f in work[1:]:
             joint = fa.multiply(joint, f, net)
         return joint
 
@@ -367,13 +370,29 @@ def conditional_mutual_information(
 def _mutual_information(table: np.ndarray) -> float:
     """Mutual information in bits of a normalised two-axis table.
 
-    Zero cells contribute zero; rounding noise below 0 is clamped.
+    Zero cells contribute zero; rounding noise below 0 is clamped. The
+    tables are tiny (ET's pair tables have 4 to 9 cells), so the sums run in
+    plain Python floats from ``table.tolist()``: a numpy call costs more than
+    the arithmetic here. The formula and the order of the marginal sums are
+    numpy's, but ``math.log2`` may differ from numpy's ``log2`` in the last
+    bit, and the cells are added in row-major order where numpy adds eight or
+    more of them pairwise, so a result may differ from the numpy one by
+    rounding (below 1e-15 absolute on the tables tested).
     """
-    px = table.sum(axis=1)
-    py = table.sum(axis=0)
-    mask = table > 0.0
-    denom = np.outer(px, py)
-    return max(0.0, float(np.sum(table[mask] * np.log2(table[mask] / denom[mask]))))
+    # the sums are written out: the builtin sum() compensates its rounding from Python 3.12
+    rows = table.tolist()
+    py = rows[0]
+    for row in rows[1:]:
+        py = [a + b for a, b in zip(py, row)]
+    total = 0.0
+    for row in rows:
+        px = 0.0
+        for t in row:
+            px += t
+        for t, q in zip(row, py):
+            if t > 0.0:
+                total += t * math.log2(t / (px * q))
+    return max(0.0, total)
 
 
 def mpe(

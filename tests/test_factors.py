@@ -70,3 +70,64 @@ def test_max_out_prefers_lowest_state_index_on_ties():
     assert reduced.scope == ()
     assert float(reduced.values) == 0.4
     assert int(arg) == 0
+
+
+def _expanded(f, out_scope):
+    """f's values broadcast to ``out_scope`` by indexing: None at every axis
+    that f's scope lacks."""
+    idx, j = [], 0
+    for v in out_scope:
+        if j < len(f.scope) and f.scope[j] == v:
+            idx.append(slice(None))
+            j += 1
+        else:
+            idx.append(None)
+    return f.values[tuple(idx)]
+
+
+def test_multiply_matches_the_indexed_broadcast():
+    # every pair of declaration-sorted scopes over four variables: the same
+    # scope, a 0-d factor on either side, disjoint and interleaved scopes
+    variables = [Variable(n, tuple(f"{n.lower()}{k}" for k in range(size)))
+                 for n, size in zip("ABCD", (2, 3, 2, 3))]
+    cpts = {v.name: Cpt(v.name, (), (tuple(1.0 / len(v.states) for _ in v.states),))
+            for v in variables}
+    net = Network(variables, cpts)
+    rng = np.random.default_rng(11)
+    names = [v.name for v in variables]
+    scopes = [s for k in range(5) for s in itertools.combinations(names, k)]
+    drawn = [Factor(s, rng.random(tuple(len(net.domain(v)) for v in s))) for s in scopes]
+    drawn.append(unit_factor())
+    for f, g in itertools.product(drawn, repeat=2):
+        scope = tuple(sorted(set(f.scope) | set(g.scope), key=net.index))
+        prod = multiply(f, g, net)
+        assert prod.scope == scope
+        assert np.array_equal(prod.values, _expanded(f, scope) * _expanded(g, scope))
+
+
+def _old_from_cpt(net, var):
+    """The CPT factor by the general path: axes always sorted and transposed."""
+    cpt = net.cpts[var]
+    shape = tuple(len(net.domain(p)) for p in cpt.parents) + (len(net.domain(var)),)
+    values = np.asarray(cpt.table, dtype=float).reshape(shape)
+    scope = cpt.parents + (var,)
+    order = sorted(range(len(scope)), key=lambda i: net.index(scope[i]))
+    return Factor(tuple(scope[i] for i in order), values.transpose(order))
+
+
+def test_compiled_factors_are_the_sorted_and_transposed_cpts(net, drug, asia, academe):
+    # net lists C's parents as (B, A); the shuffled networks declare children
+    # before some of their parents
+    from conftest import _draw_network
+
+    rng = np.random.default_rng(4)
+    shuffled = [_draw_network(rng, 8, 3, "drawn", max_states=3, shuffled=True) for _ in range(10)]
+    assert net.cpts["C"].parents == ("B", "A")
+    for n in [net, drug, asia, academe, *shuffled]:
+        for v in n.variables:
+            got, want = n._factors[v.name], _old_from_cpt(n, v.name)
+            assert got.scope == want.scope
+            assert got.values.shape == want.values.shape
+            assert got.values.tobytes() == want.values.tobytes()
+            assert not got.values.flags.writeable
+    assert any(f.scope != n.cpts[v].parents + (v,) for n in shuffled for v, f in n._factors.items())

@@ -153,6 +153,37 @@ def test_cmi_is_bit_symmetric(request, name, x, y):
     assert conditional_mutual_information(net, x, y) == conditional_mutual_information(net, y, x)
 
 
+def _numpy_mutual_information(table):
+    """_mutual_information's formula in numpy calls."""
+    px = table.sum(axis=1)
+    py = table.sum(axis=0)
+    mask = table > 0.0
+    denom = np.outer(px, py)
+    return max(0.0, float(np.sum(table[mask] * np.log2(table[mask] / denom[mask]))))
+
+
+def test_mutual_information_matches_the_numpy_formula():
+    # drawn tables from 2x2 to 4x4, about a third of their cells zero: plain,
+    # independent (the value is rounding noise around zero, and clamped) and
+    # skewed. The two differ by rounding only: libm's and numpy's log2 can
+    # disagree in the last bit, and numpy sums eight or more cells pairwise.
+    from bnexplain.inference import _mutual_information
+
+    rng = np.random.default_rng(17)
+    for i in range(3000):
+        shape = tuple(int(n) for n in rng.integers(2, 5, size=2))
+        table = [rng.random(shape), np.outer(rng.random(shape[0]), rng.random(shape[1])),
+                 rng.random(shape) ** 8][i % 3]
+        table[rng.random(shape) < 0.3] = 0.0
+        if not table.any():
+            continue
+        table /= table.sum()
+        got = _mutual_information(table)
+        assert got == pytest.approx(_numpy_mutual_information(table), rel=0, abs=1e-15)
+        assert got >= 0.0
+        assert _mutual_information(table.T) == pytest.approx(got, rel=0, abs=1e-15)
+
+
 def test_engine_matches_oracle_on_random_queries(random_corpus):
     rng = np.random.default_rng(31)
     for net in random_corpus[:10]:
