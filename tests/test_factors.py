@@ -87,9 +87,11 @@ def _expanded(f, out_scope):
 
 def test_multiply_matches_the_indexed_broadcast():
     # every pair of declaration-sorted scopes over four variables: the same
-    # scope, a 0-d factor on either side, disjoint and interleaved scopes
+    # scope, a 0-d factor on either side, disjoint and interleaved scopes.
+    # The variables are declared out of alphabetical order, so that a merge
+    # by name fails.
     variables = [Variable(n, tuple(f"{n.lower()}{k}" for k in range(size)))
-                 for n, size in zip("ABCD", (2, 3, 2, 3))]
+                 for n, size in zip("WBQA", (2, 3, 2, 3))]
     cpts = {v.name: Cpt(v.name, (), (tuple(1.0 / len(v.states) for _ in v.states),))
             for v in variables}
     net = Network(variables, cpts)
@@ -105,7 +107,7 @@ def test_multiply_matches_the_indexed_broadcast():
         assert np.array_equal(prod.values, _expanded(f, scope) * _expanded(g, scope))
 
 
-def _old_from_cpt(net, var):
+def _sorted_cpt_factor(net, var):
     """The CPT factor by the general path: axes always sorted and transposed."""
     cpt = net.cpts[var]
     shape = tuple(len(net.domain(p)) for p in cpt.parents) + (len(net.domain(var)),)
@@ -125,7 +127,7 @@ def test_compiled_factors_are_the_sorted_and_transposed_cpts(net, drug, asia, ac
     assert net.cpts["C"].parents == ("B", "A")
     for n in [net, drug, asia, academe, *shuffled]:
         for v in n.variables:
-            got, want = n._factors[v.name], _old_from_cpt(n, v.name)
+            got, want = n._factors[v.name], _sorted_cpt_factor(n, v.name)
             assert got.scope == want.scope
             assert got.values.shape == want.values.shape
             assert got.values.tobytes() == want.values.tobytes()
