@@ -35,8 +35,6 @@ def from_cpt(net: Network, var: str) -> Factor:
     scope = cpt.parents + (var,)
     values = np.asarray(cpt.table, dtype=float).reshape([len(net._domains[v]) for v in scope])
     position = [net._index[v] for v in scope]
-    if position == sorted(position):  # the parents precede the child, in declaration order
-        return Factor(scope, values)
     order = sorted(range(len(scope)), key=position.__getitem__)
     return Factor(tuple(scope[i] for i in order), values.transpose(order))
 
@@ -47,10 +45,6 @@ def multiply(f: Factor, g: Factor, net: Network) -> Factor:
     Each operand is reshaped to the union's axes, with length one where its
     scope lacks the variable, and the two broadcast.
     """
-    if f.scope == g.scope or not g.scope:
-        return Factor(f.scope, f.values * g.values)
-    if not f.scope:
-        return Factor(g.scope, f.values * g.values)
     domains = net._domains
     scope = tuple(sorted({*f.scope, *g.scope}, key=net._index.__getitem__))
     f_shape = [len(domains[v]) if v in f.scope else 1 for v in scope]

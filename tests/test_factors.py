@@ -108,7 +108,7 @@ def test_multiply_matches_the_indexed_broadcast():
 
 
 def _sorted_cpt_factor(net, var):
-    """The CPT factor by the general path: axes always sorted and transposed."""
+    """The CPT factor built through the public accessors: axes sorted, then transposed."""
     cpt = net.cpts[var]
     shape = tuple(len(net.domain(p)) for p in cpt.parents) + (len(net.domain(var)),)
     values = np.asarray(cpt.table, dtype=float).reshape(shape)
